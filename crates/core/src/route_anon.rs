@@ -18,7 +18,8 @@ use crate::Error;
 use confmask_config::patch::Patcher;
 use confmask_net_types::{HostId, Ipv4Prefix, PrefixAllocator};
 use confmask_sim::dataplane::reachable_hosts_from_router;
-use confmask_sim::{simulate_control_plane, NextHop};
+use confmask_sim::NextHop;
+use confmask_sim_delta::ControlPlane;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,7 +32,8 @@ pub struct RouteAnonOutcome {
     pub filters_kept: usize,
     /// Filters rolled back because they broke reachability.
     pub filters_rolled_back: usize,
-    /// Control-plane simulations performed.
+    /// Control planes computed: the stage's one cold run plus one
+    /// incremental advance per filter round and per rollback.
     pub sim_calls: usize,
 }
 
@@ -50,6 +52,7 @@ pub fn anonymize_routes<R: Rng>(
     // --- Fake host creation -------------------------------------------------
     // Each real host gets k_H − 1 copies on its ingress router ("same
     // configuration as the original host except for hostname and IP").
+    let sp = confmask_obs::span("core.route_anon.fake_hosts");
     let originals: Vec<(String, String, bool)> = base
         .real_hosts
         .iter()
@@ -71,34 +74,36 @@ pub fn anonymize_routes<R: Rng>(
             out.fake_hosts.push(fake_name);
         }
     }
+    sp.finish();
     if out.fake_hosts.is_empty() {
         return Ok(out);
     }
 
     // --- Randomized filtering (lines 1–7 of Algorithm 2) --------------------
-    let (mut net, mut fibs) = simulate_control_plane(patcher.network())?;
+    // One control plane for the whole stage: each round only adds or rolls
+    // back deny entries for fake-host prefixes at one router, so it is
+    // advanced in place (re-running just the prefixes whose filter
+    // verdicts changed) instead of re-simulated cold.
+    let mut cp = ControlPlane::cold(patcher.network())?;
     out.sim_calls += 1;
 
     // Fake-host LAN prefixes and the hosts on them.
-    let fake_prefixes: BTreeMap<Ipv4Prefix, HostId> = net
+    let fake_prefixes: BTreeMap<Ipv4Prefix, HostId> = cp
+        .net()
         .hosts_iter()
         .filter(|(_, h)| h.added)
         .map(|(hid, h)| (h.prefix, hid))
         .collect();
 
-    let router_names: Vec<String> = net.routers.iter().map(|r| r.name.clone()).collect();
+    let router_names: Vec<String> = cp.net().routers.iter().map(|r| r.name.clone()).collect();
     for rname in router_names {
-        let rid = net.router_id(&rname).expect("router exists");
-
-        // DstH_old[r̃]: fake hosts reachable from r̃ before this round.
-        let old_reach: BTreeSet<HostId> = reachable_hosts_from_router(&net, &fibs, rid)
-            .into_iter()
-            .filter(|h| net.host(*h).added)
-            .collect();
+        let rid = cp.net().router_id(&rname).expect("router exists");
 
         // Randomly deny fake-host FIB entries.
+        let sp = confmask_obs::span("core.route_anon.deny");
         let mut added_this_round: Vec<(Ipv4Prefix, NextHop)> = Vec::new();
-        let entries: Vec<(Ipv4Prefix, Vec<NextHop>)> = fibs
+        let entries: Vec<(Ipv4Prefix, Vec<NextHop>)> = cp
+            .fibs()
             .of(rid)
             .entries()
             .filter(|e| fake_prefixes.contains_key(&e.prefix))
@@ -109,33 +114,46 @@ pub fn anonymize_routes<R: Rng>(
                 if matches!(nh, NextHop::Deliver { .. }) {
                     continue; // the ingress router delivers directly
                 }
-                if rng.gen::<f64>() < noise_p && deny_next_hop(patcher, &net, &rname, &nh, prefix)?
+                if rng.gen::<f64>() < noise_p
+                    && deny_next_hop(patcher, cp.net(), &rname, &nh, prefix)?
                 {
                     added_this_round.push((prefix, nh));
                 }
             }
         }
+        sp.finish();
         if added_this_round.is_empty() {
             continue;
         }
 
-        // Re-simulate and roll back filters that broke reachability.
-        let (net2, fibs2) = simulate_control_plane(patcher.network())?;
-        out.sim_calls += 1;
-        let new_reach: BTreeSet<HostId> = reachable_hosts_from_router(&net2, &fibs2, rid)
-            .into_iter()
-            .filter(|h| net2.host(*h).added)
+        // DstH_old[r̃] vs DstH_new[r̃], restricted to the fake hosts whose
+        // prefixes were denied this round: only those can be rolled back,
+        // and only their routes changed.
+        let denied: BTreeSet<HostId> = added_this_round
+            .iter()
+            .map(|(prefix, _)| fake_prefixes[prefix])
             .collect();
+        let reach = |cp: &ControlPlane| {
+            let sp = confmask_obs::span("core.route_anon.reach");
+            let hosts = denied.iter().copied();
+            let reach = reachable_hosts_from_router(cp.net(), cp.fibs(), rid, hosts);
+            sp.finish();
+            reach
+        };
+        let old_reach = reach(&cp);
+        cp.advance(patcher.network())?;
+        out.sim_calls += 1;
+        let new_reach = reach(&cp);
 
+        // Roll back filters that broke reachability.
         let lost: BTreeSet<Ipv4Prefix> = old_reach
             .difference(&new_reach)
-            .map(|h| net2.host(*h).prefix)
+            .map(|h| cp.net().host(*h).prefix)
             .collect();
-
         let mut rolled_back = 0;
         for (prefix, nh) in &added_this_round {
             if lost.contains(prefix) {
-                remove_filter(patcher, &net2, &rname, nh, *prefix)?;
+                remove_filter(patcher, cp.net(), &rname, nh, *prefix)?;
                 rolled_back += 1;
             }
         }
@@ -143,16 +161,17 @@ pub fn anonymize_routes<R: Rng>(
         out.filters_kept += added_this_round.len() - rolled_back;
 
         if rolled_back > 0 {
-            let (net3, fibs3) = simulate_control_plane(patcher.network())?;
+            cp.advance(patcher.network())?;
             out.sim_calls += 1;
-            net = net3;
-            fibs = fibs3;
-        } else {
-            net = net2;
-            fibs = fibs2;
         }
     }
 
+    // Freeing the stage's control plane (tens of thousands of small
+    // per-router tables) takes a few milliseconds on the larger nets;
+    // attribute it rather than leave it as unexplained stage time.
+    let sp = confmask_obs::span("core.route_anon.release");
+    drop(cp);
+    sp.finish();
     Ok(out)
 }
 

@@ -428,8 +428,21 @@ where
 mod tests {
     use super::*;
 
+    /// Serializes every test that sets or reads the process-wide
+    /// [`configure_threads`] override: the test harness runs tests on
+    /// parallel threads, and one test's `configure_threads(4)` would
+    /// otherwise land between another's set and its assertion.
+    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn override_guard() -> std::sync::MutexGuard<'static, ()> {
+        // A test that panicked while holding the lock has already failed;
+        // the others still get a consistent override.
+        OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn maps_in_index_order() {
+        let _guard = override_guard();
         configure_threads(4);
         let items: Vec<usize> = (0..1000).collect();
         let out = par_map(&items, |&x| x * 2);
@@ -439,6 +452,7 @@ mod tests {
 
     #[test]
     fn streams_in_global_order_with_bounded_windows() {
+        let _guard = override_guard();
         configure_threads(4);
         let mut seen = Vec::new();
         let mut max_window_spread = 0usize;
@@ -478,11 +492,13 @@ mod tests {
 
     #[test]
     fn thread_count_is_positive() {
+        let _guard = override_guard();
         assert!(thread_count() >= 1);
     }
 
     #[test]
     fn override_wins_and_resets() {
+        let _guard = override_guard();
         let default = thread_count();
         configure_threads(3);
         assert_eq!(thread_count(), 3);

@@ -21,7 +21,7 @@
 
 use crate::failpoint::{self, Action};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, IoSlice, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic: identifies a ConfMask WAL, version 01.
@@ -99,11 +99,48 @@ fn record_checksum(kind: u8, payload: &[u8]) -> u64 {
 /// Encodes one record into its framed wire form.
 pub fn encode_record(kind: Kind, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.push(kind as u8);
+    out.extend_from_slice(&record_header(kind, payload));
     out.extend_from_slice(payload);
-    out.extend_from_slice(&record_checksum(kind as u8, payload).to_le_bytes());
+    out.extend_from_slice(&record_trailer(kind, payload));
     out
+}
+
+/// A record's frame before its payload: length, then kind.
+fn record_header(kind: Kind, payload: &[u8]) -> [u8; 5] {
+    let [a, b, c, d] = (payload.len() as u32).to_le_bytes();
+    [a, b, c, d, kind as u8]
+}
+
+/// A record's frame after its payload: the checksum.
+fn record_trailer(kind: Kind, payload: &[u8]) -> [u8; 8] {
+    record_checksum(kind as u8, payload).to_le_bytes()
+}
+
+/// Writes one framed record with a single vectored write, as one
+/// `write_all` of [`encode_record`]'s buffer would, but without copying
+/// the payload into a frame buffer: a snapshot record holds the whole job
+/// store, and the copy held it in memory once more. One call keeps the
+/// record contiguous in an append-mode file even when another writer
+/// appends to the same file concurrently; a short write continues where
+/// it stopped, as `write_all` does.
+fn write_record(file: &mut File, kind: Kind, payload: &[u8]) -> io::Result<()> {
+    let header = record_header(kind, payload);
+    let trailer = record_trailer(kind, payload);
+    let mut slices = [
+        IoSlice::new(&header),
+        IoSlice::new(payload),
+        IoSlice::new(&trailer),
+    ];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match file.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// What a scan of a WAL body found.
@@ -285,22 +322,22 @@ impl WalWriter {
             }
             _ => {}
         }
-        let bytes = encode_record(kind, payload);
         if action == Some(Action::Torn) {
             // A torn write: half the record reaches the disk, then the
             // process dies. `max(1)` so even a tiny record is actually
             // torn rather than skipped.
+            let bytes = encode_record(kind, payload);
             let half = (bytes.len() / 2).max(1);
             let _ = self.file.write_all(&bytes[..half]);
             let _ = self.file.sync_all();
             self.halted = true;
             return Err(io::Error::other("injected torn write"));
         }
-        self.file.write_all(&bytes)?;
+        write_record(&mut self.file, kind, payload)?;
         self.file.sync_all()?;
         self.appends += 1;
         confmask_obs::counter_add("serve.wal.appends", 1);
-        confmask_obs::counter_add("serve.wal.bytes", bytes.len() as u64);
+        confmask_obs::counter_add("serve.wal.bytes", (RECORD_OVERHEAD + payload.len()) as u64);
         if action == Some(Action::CrashAfter) {
             self.halted = true;
         }
@@ -425,6 +462,16 @@ mod tests {
         w.append(Kind::Created, br#"{"id":1}"#).unwrap();
         w.append(Kind::Running, br#"{"id":1,"attempt":1}"#).unwrap();
         drop(w);
+        // The writer frames each payload in place: the file holds exactly
+        // the encoded records.
+        let written = std::fs::read(&path).unwrap();
+        assert_eq!(
+            written[MAGIC.len()..],
+            body(&[
+                (Kind::Created, br#"{"id":1}"#),
+                (Kind::Running, br#"{"id":1,"attempt":1}"#),
+            ])[..]
+        );
         let scan = read_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.discarded, 0);

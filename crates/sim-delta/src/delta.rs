@@ -1,18 +1,26 @@
-//! Delta recomputation for fault perturbations.
+//! Delta recomputation for configuration perturbations.
 //!
 //! Given a cached converged simulation of a base network and a perturbed
 //! copy of its configurations, this module produces the perturbed
 //! [`Simulation`] while recomputing only what the perturbation can have
-//! touched. The supported perturbation class is *administrative shutdowns*
-//! (`shutdown: false → true` on existing interfaces) — exactly what the
-//! fault engine's scenarios apply — because shutdowns only ever **remove**
-//! model elements, which is the monotonicity every warm-start argument
-//! below leans on. Anything else falls back to a full cold simulation,
-//! explicitly.
+//! touched. Two perturbation classes are supported, and anything else (or
+//! a mix of the two) falls back to a full cold simulation, explicitly:
 //!
-//! Per-protocol strategy (soundness arguments inline; the contract is that
-//! results are **byte-identical** to a cold `simulate()` of the perturbed
-//! configs):
+//! * **Administrative shutdowns** (`shutdown: false → true` on existing
+//!   interfaces) — exactly what the fault engine's scenarios apply.
+//!   Shutdowns only ever **remove** model elements, which is the
+//!   monotonicity every warm-start argument below leans on.
+//! * **Prefix-scoped filter edits** (only prefix lists and distribute-list
+//!   bindings differ) — what Algorithm 2's deny rounds and rollbacks
+//!   apply. They change nothing but per-destination filter verdicts, so
+//!   only the destinations whose verdict changed are recomputed; see
+//!   [`refilter`] for that class's per-protocol argument. The same
+//!   [`refilter`] advances a [`ControlPlane`] in place through a chain of
+//!   edits without any data plane.
+//!
+//! Per-protocol strategy for shutdowns (soundness arguments inline; the
+//! contract is that results are **byte-identical** to a cold `simulate()`
+//! of the perturbed configs):
 //!
 //! * **OSPF** — per-prefix SPFs are independent, so only *affected*
 //!   prefixes re-run ([`ospf::compute_subset`]); the rest splice in the
@@ -47,14 +55,14 @@
 //!   routers the walk visits) and only when every on-path router's lookup
 //!   is unchanged. Reuse shares the cached set by [`Arc`] — no copying.
 
-use crate::{ConvergedSim, DeltaStats};
-use confmask_config::NetworkConfigs;
+use crate::{record_stats, ConvergedSim, DeltaStats};
+use confmask_config::{BgpConfig, NetworkConfigs, OspfConfig, RipConfig, RouterConfig};
 use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
 use confmask_sim::dataplane::trace;
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
-    bgp, merge_router_fib, ospf, rip, simulate, BgpRoutes, FibEntry, Fibs, NextHop, Peer, SimError,
-    SimNetwork, Simulation,
+    bgp, merge_prefix, merge_router_fib, ospf, rip, simulate, BgpRoutes, ControlState, FibEntry,
+    Fibs, NextHop, Peer, RouterNode, SimError, SimNetwork, Simulation,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -66,41 +74,58 @@ pub(crate) enum ConfigDiff {
     /// delta path re-derives the removed-interface set from the rebuilt
     /// model, where address-less interfaces are already invisible).
     Shutdowns,
-    /// Any other change (additions, deletions, edits, un-shutdowns).
+    /// Only prefix lists and distribute-list bindings differ, on the
+    /// routers listed (by [`RouterId`] index, i.e. hostname order): filters
+    /// were added, edited, removed, bound or unbound. The delta path
+    /// re-derives the affected destinations from the re-resolved filter
+    /// verdicts, so an edit nothing resolves (a binding to a missing list)
+    /// affects no destination.
+    FilterEdits {
+        /// The routers whose filters changed.
+        routers: Vec<usize>,
+    },
+    /// Any other change (additions, deletions, edits, un-shutdowns), or
+    /// shutdowns and filter edits together.
     Unsupported,
 }
 
 /// Classifies the base → perturbed configuration diff in a single pass
 /// (no up-front whole-config equality check: the walk below both finds
-/// the tolerated shutdowns and proves everything else untouched).
+/// the tolerated shutdowns and filter edits and proves everything else
+/// untouched).
 pub(crate) fn diff_configs(base: &NetworkConfigs, new: &NetworkConfigs) -> ConfigDiff {
     if base.hosts != new.hosts || base.routers.len() != new.routers.len() {
         return ConfigDiff::Unsupported;
     }
 
     let mut any_shutdown = false;
-    for ((bname, brc), (nname, nrc)) in base.routers.iter().zip(new.routers.iter()) {
+    let mut filtered = Vec::new();
+    let pairs = base.routers.iter().zip(new.routers.iter());
+    for (r, ((bname, brc), (nname, nrc))) in pairs.enumerate() {
         if bname != nname {
             return ConfigDiff::Unsupported;
         }
-        // Everything but the interface list must be untouched.
+        // Everything but the interface list and the route filters must be
+        // untouched.
+        let Some(bindings_equal) = protocols_equal_but_bindings(brc, nrc) else {
+            return ConfigDiff::Unsupported;
+        };
         if brc.hostname != nrc.hostname
             || brc.added != nrc.added
-            || brc.ospf != nrc.ospf
-            || brc.rip != nrc.rip
-            || brc.bgp != nrc.bgp
-            || brc.prefix_lists != nrc.prefix_lists
             || brc.static_routes != nrc.static_routes
             || brc.extra_lines != nrc.extra_lines
             || brc.interfaces.len() != nrc.interfaces.len()
         {
             return ConfigDiff::Unsupported;
         }
+        if !bindings_equal || brc.prefix_lists != nrc.prefix_lists {
+            filtered.push(r);
+        }
         for (bi, ni) in brc.interfaces.iter().zip(nrc.interfaces.iter()) {
             if bi == ni {
                 continue;
             }
-            // The only tolerated difference is a fresh shutdown.
+            // The only tolerated interface difference is a fresh shutdown.
             let mut shutdown_normalized = bi.clone();
             shutdown_normalized.shutdown = ni.shutdown;
             if shutdown_normalized != *ni || bi.shutdown || !ni.shutdown {
@@ -109,11 +134,67 @@ pub(crate) fn diff_configs(base: &NetworkConfigs, new: &NetworkConfigs) -> Confi
             any_shutdown = true;
         }
     }
-    if any_shutdown {
-        ConfigDiff::Shutdowns
-    } else {
-        ConfigDiff::Identical
+    match (any_shutdown, filtered.is_empty()) {
+        (false, true) => ConfigDiff::Identical,
+        (true, true) => ConfigDiff::Shutdowns,
+        (false, false) => ConfigDiff::FilterEdits { routers: filtered },
+        // Each class has its own soundness argument; none covers both.
+        (true, false) => ConfigDiff::Unsupported,
     }
+}
+
+/// Compares two routers' protocol blocks apart from their distribute-list
+/// bindings: `None` when anything else differs (a block added or removed,
+/// a process id, network statement or neighbor edited), else whether the
+/// bindings are equal too. The destructuring is exhaustive, so a field
+/// added to a block later cannot slip past the diff unnoticed.
+fn protocols_equal_but_bindings(b: &RouterConfig, n: &RouterConfig) -> Option<bool> {
+    let ospf = match (&b.ospf, &n.ospf) {
+        (None, None) => true,
+        (Some(x), Some(y)) => {
+            let OspfConfig {
+                process_id,
+                networks,
+                distribute_lists,
+            } = x;
+            if *process_id != y.process_id || *networks != y.networks {
+                return None;
+            }
+            *distribute_lists == y.distribute_lists
+        }
+        _ => return None,
+    };
+    let rip = match (&b.rip, &n.rip) {
+        (None, None) => true,
+        (Some(x), Some(y)) => {
+            let RipConfig {
+                networks,
+                distribute_lists,
+            } = x;
+            if *networks != y.networks {
+                return None;
+            }
+            *distribute_lists == y.distribute_lists
+        }
+        _ => return None,
+    };
+    let bgp = match (&b.bgp, &n.bgp) {
+        (None, None) => true,
+        (Some(x), Some(y)) => {
+            let BgpConfig {
+                asn,
+                networks,
+                neighbors,
+                distribute_lists,
+            } = x;
+            if *asn != y.asn || *networks != y.networks || *neighbors != y.neighbors {
+                return None;
+            }
+            *distribute_lists == y.distribute_lists
+        }
+        _ => return None,
+    };
+    Some(ospf && rip && bgp)
 }
 
 /// Simulates the perturbed network, incrementally where possible.
@@ -125,11 +206,11 @@ pub(crate) fn simulate_delta(
     match diff_configs(&base.configs, perturbed) {
         ConfigDiff::Identical => Ok((base.sim.clone(), DeltaStats::identical())),
         ConfigDiff::Unsupported => full_fallback(perturbed),
-        ConfigDiff::Shutdowns => match delta_shutdowns(base, perturbed)? {
-            Some(out) => Ok(out),
-            // Defensive: a reuse invariant did not hold; never guess.
-            None => full_fallback(perturbed),
-        },
+        ConfigDiff::Shutdowns => simulate_delta_shutdowns(base, perturbed),
+        ConfigDiff::FilterEdits { routers } => {
+            let plan = plan_filter_edits(base, perturbed, &routers)?;
+            materialize_or_fallback(base, perturbed, plan)
+        }
     }
 }
 
@@ -140,7 +221,18 @@ pub(crate) fn simulate_delta_shutdowns(
     base: &ConvergedSim,
     perturbed: &NetworkConfigs,
 ) -> Result<(Simulation, DeltaStats), SimError> {
-    match delta_shutdowns(base, perturbed)? {
+    let plan = plan_shutdowns(base, perturbed)?;
+    materialize_or_fallback(base, perturbed, plan)
+}
+
+/// Materializes a plan, or runs cold when a defensive invariant check
+/// failed while planning or materializing (never guess).
+fn materialize_or_fallback(
+    base: &ConvergedSim,
+    perturbed: &NetworkConfigs,
+    plan: Option<DeltaPlan>,
+) -> Result<(Simulation, DeltaStats), SimError> {
+    match plan.and_then(|plan| materialize(base, plan)) {
         Some(out) => Ok(out),
         None => full_fallback(perturbed),
     }
@@ -151,13 +243,15 @@ fn full_fallback(perturbed: &NetworkConfigs) -> Result<(Simulation, DeltaStats),
     Ok((sim, DeltaStats::full()))
 }
 
-/// Everything the shutdown delta derives *before* touching the data
-/// plane: the perturbed model and FIBs plus the per-endpoint reuse
-/// predicates. [`materialize`] turns a plan into a full [`Simulation`];
-/// the streaming digest path (`crate::sweep`) instead classifies each
-/// baseline pair directly off the plan — both answer pair reusability
-/// with the same [`ShutdownPlan::pair_reusable`], so they cannot drift.
-pub(crate) struct ShutdownPlan {
+/// Everything a delta derives *before* touching the data plane: the
+/// perturbed model and FIBs plus the per-endpoint reuse predicates.
+/// [`plan_shutdowns`] and [`plan_filter_edits`] build one per class;
+/// [`materialize`] turns a plan into a full [`Simulation`], and the
+/// streaming digest path (`crate::sweep`) instead classifies each
+/// baseline pair directly off a shutdown plan — both answer pair
+/// reusability with the same [`DeltaPlan::pair_reusable`], so they
+/// cannot drift.
+pub(crate) struct DeltaPlan {
     /// The perturbed network model.
     pub new_net: SimNetwork,
     /// The perturbed per-router FIBs.
@@ -177,11 +271,12 @@ pub(crate) struct ShutdownPlan {
     ospf_prefixes_recomputed: usize,
     rip_warm_started: bool,
     bgp_reused: bool,
+    filter_edits: bool,
 }
 
-impl ShutdownPlan {
+impl DeltaPlan {
     /// Whether ordered pair `(si, di)` (host indices into
-    /// [`ShutdownPlan::hosts`], `idx` its position in the base data
+    /// [`DeltaPlan::hosts`], `idx` its position in the base data
     /// plane's key order) can reuse its cached path set. See the
     /// soundness argument on [`materialize`].
     pub fn pair_reusable(&self, base: &ConvergedSim, si: usize, di: usize, idx: usize) -> bool {
@@ -209,32 +304,21 @@ impl ShutdownPlan {
             ospf_prefixes_recomputed: self.ospf_prefixes_recomputed,
             rip_warm_started: self.rip_warm_started,
             bgp_reused: self.bgp_reused,
+            filter_edits: self.filter_edits,
             pairs_total,
             pairs_recomputed,
         }
     }
 }
 
-/// The shutdown-only delta path. Returns `Ok(None)` when a defensive
-/// invariant check fails and the caller should fall back to a cold run.
-fn delta_shutdowns(
-    base: &ConvergedSim,
-    perturbed: &NetworkConfigs,
-) -> Result<Option<(Simulation, DeltaStats)>, SimError> {
-    match plan_shutdowns(base, perturbed)? {
-        Some(plan) => Ok(materialize(base, plan)),
-        None => Ok(None),
-    }
-}
-
-/// Builds the [`ShutdownPlan`] for a shutdown-only perturbation: model,
+/// Builds the [`DeltaPlan`] for a shutdown-only perturbation: model,
 /// FIBs (both incremental where provable), and the per-endpoint reuse
 /// predicates. Returns `Ok(None)` when a defensive invariant check fails
 /// and the caller should fall back to a cold run.
 pub(crate) fn plan_shutdowns(
     base: &ConvergedSim,
     perturbed: &NetworkConfigs,
-) -> Result<Option<ShutdownPlan>, SimError> {
+) -> Result<Option<DeltaPlan>, SimError> {
     let new_net = SimNetwork::build(perturbed)?;
     let base_net = &base.sim.net;
     let n = base_net.router_count();
@@ -495,12 +579,7 @@ pub(crate) fn plan_shutdowns(
         .map(|row| row.iter().all(|&c| !c))
         .collect();
 
-    // The cached data plane covers exactly the ordered host pairs; anything
-    // else means the base simulation predates an invariant change.
-    if base.sim.dataplane.len() != hosts.len() * hosts.len().saturating_sub(1) {
-        return Ok(None);
-    }
-    if base.pair_meta.len() != base.sim.dataplane.len() {
+    if !dataplane_covers_pairs(base, hosts.len()) {
         return Ok(None);
     }
     // Per host: whether its attachment survived the perturbation, and
@@ -515,7 +594,7 @@ pub(crate) fn plan_shutdowns(
         .map(|&h| base_net.host(h).attachment.is_none())
         .collect();
 
-    Ok(Some(ShutdownPlan {
+    Ok(Some(DeltaPlan {
         new_net,
         fibs,
         hosts,
@@ -527,10 +606,361 @@ pub(crate) fn plan_shutdowns(
         ospf_prefixes_recomputed,
         rip_warm_started,
         bgp_reused,
+        filter_edits: false,
     }))
 }
 
-/// Materializes a [`ShutdownPlan`] into the full perturbed [`Simulation`].
+/// Whether the cached data plane covers exactly the ordered pairs of
+/// `hosts` hosts, with pair metadata for each; anything else means the
+/// base simulation predates an invariant change.
+fn dataplane_covers_pairs(base: &ConvergedSim, hosts: usize) -> bool {
+    base.sim.dataplane.len() == hosts * hosts.saturating_sub(1)
+        && base.pair_meta.len() == base.sim.dataplane.len()
+}
+
+/// Builds the [`DeltaPlan`] for a filter-edit perturbation of `routers`:
+/// the model is rebuilt, the cached control plane is advanced by
+/// [`refilter`], and a destination's lookups count as changed only at
+/// routers whose FIB entries changed. Returns `Ok(None)` when a defensive
+/// invariant check fails and the caller should fall back to a cold run.
+pub(crate) fn plan_filter_edits(
+    base: &ConvergedSim,
+    perturbed: &NetworkConfigs,
+    routers: &[usize],
+) -> Result<Option<DeltaPlan>, SimError> {
+    // A filter edit keeps every device, interface and session, so both
+    // models number them alike and differ only in resolved filters.
+    let new_net = SimNetwork::build(perturbed)?;
+    let old = &base.sim.net;
+    let edited = routers
+        .iter()
+        .map(|&r| (&old.routers[r], &new_net.routers[r]));
+    let affected = flipped_destinations(edited, &new_net.destinations);
+    let mut fibs = base.sim.fibs.clone();
+    let mut state = base.state.clone();
+    let changed = refilter(&new_net, &affected, &mut fibs, &mut state)?;
+    let hosts: Vec<HostId> = new_net.hosts_iter().map(|(id, _)| id).collect();
+    if !dataplane_covers_pairs(base, hosts.len()) {
+        return Ok(None);
+    }
+    // lookup_changed[d][r]: only entries whose prefix contains host d's
+    // address can decide its longest-prefix match, and only the entries
+    // `refilter` reports changed differ from the base FIB — so a router
+    // with no changed entry covering the address resolves it exactly as
+    // before, and the rest compare actual lookups (an entry that vanished
+    // or appeared moves the match to another prefix length).
+    let lookup_changed: Vec<Vec<bool>> = hosts
+        .iter()
+        .map(|&h| {
+            let addr = new_net.host(h).addr;
+            changed
+                .iter()
+                .enumerate()
+                .map(|(r, prefixes)| {
+                    let rid = RouterId(r as u32);
+                    prefixes.iter().any(|p| p.contains_addr(addr))
+                        && base.sim.fibs.of(rid).lookup(addr) != fibs.of(rid).lookup(addr)
+                })
+                .collect()
+        })
+        .collect();
+    let dst_untouched = lookup_changed
+        .iter()
+        .map(|row| row.iter().all(|&c| !c))
+        .collect();
+    // Filter edits keep every interface, so attachments (router and
+    // interface index) carry over; checked rather than assumed.
+    let att_unchanged = hosts
+        .iter()
+        .map(|&h| base.sim.net.host(h).attachment == new_net.host(h).attachment)
+        .collect();
+    let unattached = hosts
+        .iter()
+        .map(|&h| base.sim.net.host(h).attachment.is_none())
+        .collect();
+    Ok(Some(DeltaPlan {
+        ospf_prefixes_total: new_net.destinations.len(),
+        ospf_prefixes_recomputed: affected.len(),
+        new_net,
+        fibs,
+        hosts,
+        lookup_changed,
+        dst_untouched,
+        att_unchanged,
+        unattached,
+        rip_warm_started: false,
+        bgp_reused: false,
+        filter_edits: true,
+    }))
+}
+
+/// The destinations whose filter verdict differs between the old and new
+/// version of some router (pairs of one router's node before and after a
+/// filter edit). A verdict is whether an inbound filter on one of its
+/// interfaces (`igp_denies`) or sessions (`denies`) denies the
+/// destination; interfaces and sessions whose resolved filters are equal
+/// are skipped without evaluating anything.
+fn flipped_destinations<'a>(
+    routers: impl Iterator<Item = (&'a RouterNode, &'a RouterNode)>,
+    dests: &[(Ipv4Prefix, Vec<HostId>)],
+) -> BTreeSet<Ipv4Prefix> {
+    let mut affected = BTreeSet::new();
+    let prefixes = || dests.iter().map(|(p, _)| *p);
+    for (or, nr) in routers {
+        for (oi, ni) in or.ifaces.iter().zip(&nr.ifaces) {
+            if oi.igp_filters != ni.igp_filters {
+                affected.extend(prefixes().filter(|p| oi.igp_denies(p) != ni.igp_denies(p)));
+            }
+        }
+        for (os, ns) in or.sessions.iter().zip(&nr.sessions) {
+            if os.in_filters != ns.in_filters {
+                affected.extend(prefixes().filter(|p| os.denies(p) != ns.denies(p)));
+            }
+        }
+    }
+    affected
+}
+
+/// Advances a converged control plane — `fibs` and `state` — to model
+/// `net` after a filter edit whose verdict-flipped destinations are
+/// `affected` ([`flipped_destinations`]). `net` must differ from the model
+/// the control plane was computed for only in its resolved route filters
+/// (a [`ConfigDiff::FilterEdits`] diff). Returns, per router, the
+/// destination prefixes whose FIB entry changed. On error nothing is
+/// modified: the one fallible step runs before any write.
+///
+/// **Soundness of the filter-edit class.** The diff touched only prefix
+/// lists and distribute-list bindings, so the new model differs only in
+/// `IfaceNode::igp_filters` and `BgpSession::in_filters`. Every consumer
+/// of those fields asks a single question — does a filter deny
+/// destination `p` (`igp_denies` / `denies`) — and always about the
+/// destination it is computing. A destination is therefore *affected*
+/// iff that verdict changed on some interface or session; every other
+/// destination sees exactly its old inputs. Per protocol:
+///
+/// * **OSPF** — filters never change OSPF distances (LSAs flood
+///   regardless; a filter only drops candidate next hops of its own
+///   prefix at RIB installation), and per-prefix SPFs are independent, so
+///   affected prefixes re-run [`ospf::compute_subset`] and the rest keep
+///   their cached routes and distances, which a cold run would reproduce.
+/// * **RIP** — a filter does change distance-vector distances, but only
+///   for its own prefix: each prefix's Bellman–Ford reads only that
+///   prefix's verdicts. Affected prefixes re-run cold through
+///   [`rip::compute_subset`]; no warm start, because a removed filter
+///   *adds* an adjacency and breaks the removal-only precondition that
+///   makes warm starts sound.
+/// * **BGP** — recomputed cold whenever any router speaks BGP, from the
+///   cached router-to-router IGP matrix (filters do not enter it: it
+///   reads adjacencies, costs and ASNs only). A path-vector computation
+///   can land in different equilibria depending on where its iteration
+///   starts, so no cached BGP state is ever used as a starting point.
+/// * **FIB** — an entry is a function of the router's connected and
+///   static routes (unchanged) and its OSPF, RIP and BGP rows for that
+///   destination, so exactly the (destination, router) rows that changed
+///   above are re-merged, through the same [`merge_prefix`] a cold merge
+///   runs for every destination.
+pub(crate) fn refilter(
+    net: &SimNetwork,
+    affected: &BTreeSet<Ipv4Prefix>,
+    fibs: &mut Fibs,
+    state: &mut ControlState,
+) -> Result<Vec<Vec<Ipv4Prefix>>, SimError> {
+    // BGP first: it is the only step that can fail. A cold control plane
+    // keeps the router-path matrix exactly when some router speaks BGP,
+    // and filter edits change no ASN.
+    let bgp_routes = match &state.router_paths {
+        Some(rp) => Some(bgp::compute(net, rp)?),
+        None => None,
+    };
+
+    // (destination, router) rows whose protocol routes changed.
+    let mut rows: BTreeSet<(Ipv4Prefix, usize)> = BTreeSet::new();
+    let subset: Vec<(Ipv4Prefix, Vec<HostId>)> = net
+        .destinations
+        .iter()
+        .filter(|(p, _)| affected.contains(p))
+        .cloned()
+        .collect();
+    if !subset.is_empty() {
+        let (routes, dist) = ospf::compute_subset(net, &subset);
+        splice(
+            &mut state.ospf_routes,
+            &mut state.ospf_dist,
+            affected,
+            routes,
+            dist,
+            &mut rows,
+        );
+        let (routes, dist) = rip::compute_subset(net, &subset);
+        splice(
+            &mut state.rip_routes,
+            &mut state.rip_dist,
+            affected,
+            routes,
+            dist,
+            &mut rows,
+        );
+    }
+    if let Some(routes) = bgp_routes {
+        let is_dest = |p: &Ipv4Prefix| net.destinations.iter().any(|(d, _)| d == p);
+        for (r, (before, after)) in state.bgp_routes.iter().zip(&routes).enumerate() {
+            let differ = before
+                .iter()
+                .filter(|(p, route)| after.get(p) != Some(route));
+            let appeared = after.keys().filter(|p| !before.contains_key(p));
+            let prefixes = differ.map(|(p, _)| p).chain(appeared);
+            // Only destinations have FIB entries of their own.
+            rows.extend(prefixes.filter(|p| is_dest(p)).map(|p| (*p, r)));
+        }
+        state.bgp_routes = routes;
+    }
+
+    let mut changed = vec![Vec::new(); net.router_count()];
+    for (p, r) in rows {
+        let fib = &mut fibs.per_router[r];
+        let before = fib.entry(&p).cloned();
+        let rid = RouterId(r as u32);
+        let (ospf, rip, bgp) = (&state.ospf_routes, &state.rip_routes, &state.bgp_routes);
+        merge_prefix(net, rid, &p, fib, ospf, rip, bgp);
+        if fib.entry(&p) != before.as_ref() {
+            changed[r].push(p);
+        }
+    }
+    Ok(changed)
+}
+
+/// Replaces the routes and distances of `prefixes` in one IGP's cached
+/// tables with a subset recomputation's output, adding every
+/// (prefix, router) row whose routes changed to `rows`.
+fn splice<D>(
+    routes: &mut [BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>],
+    dist: &mut BTreeMap<Ipv4Prefix, D>,
+    prefixes: &BTreeSet<Ipv4Prefix>,
+    new_routes: Vec<BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>>,
+    mut new_dist: BTreeMap<Ipv4Prefix, D>,
+    rows: &mut BTreeSet<(Ipv4Prefix, usize)>,
+) {
+    for p in prefixes {
+        match new_dist.remove(p) {
+            Some(d) => dist.insert(*p, d),
+            None => dist.remove(p),
+        };
+    }
+    for (r, (table, mut fresh)) in routes.iter_mut().zip(new_routes).enumerate() {
+        for p in prefixes {
+            let before = table.remove(p);
+            if let Some(hops) = fresh.remove(p) {
+                table.insert(*p, hops);
+            }
+            if table.get(p) != before.as_ref() {
+                rows.insert((*p, r));
+            }
+        }
+    }
+}
+
+/// A converged control plane — model, FIBs and per-protocol state, no
+/// data plane — that advances in place through a chain of configuration
+/// edits. Filter edits go through [`refilter`]; any other diff recomputes
+/// cold. After every [`ControlPlane::advance`] the FIBs are byte-identical
+/// to a cold [`confmask_sim::simulate_control_plane`] of the configs
+/// advanced to.
+///
+/// Algorithm 2 (route anonymization) keeps one for its whole stage: each
+/// round adds or rolls back deny entries for a few fake-host prefixes at
+/// one router, so an advance re-runs a handful of per-prefix SPFs instead
+/// of a whole control plane.
+#[derive(Debug)]
+pub struct ControlPlane {
+    configs: NetworkConfigs,
+    net: SimNetwork,
+    fibs: Fibs,
+    state: ControlState,
+}
+
+impl ControlPlane {
+    /// Computes the control plane of `configs` cold.
+    pub fn cold(configs: &NetworkConfigs) -> Result<Self, SimError> {
+        let (net, fibs, state) = confmask_sim::control_plane(configs)?;
+        Ok(ControlPlane {
+            configs: configs.clone(),
+            net,
+            fibs,
+            state,
+        })
+    }
+
+    /// The network model of the configs last advanced to.
+    pub fn net(&self) -> &SimNetwork {
+        &self.net
+    }
+
+    /// The per-router FIBs of the configs last advanced to.
+    pub fn fibs(&self) -> &Fibs {
+        &self.fibs
+    }
+
+    /// Advances to `configs`, incrementally when they differ from the
+    /// current configs by filter edits only. On error the control plane
+    /// is left as it was. The returned stats say what was recomputed (no
+    /// data plane is involved, so the pair tallies are zero).
+    pub fn advance(&mut self, configs: &NetworkConfigs) -> Result<DeltaStats, SimError> {
+        let _sp = confmask_obs::span("sim.delta.refilter");
+        let stats = match diff_configs(&self.configs, configs) {
+            ConfigDiff::Identical => DeltaStats::identical(),
+            ConfigDiff::FilterEdits { routers } => self.refilter(configs, &routers)?,
+            ConfigDiff::Shutdowns | ConfigDiff::Unsupported => {
+                *self = ControlPlane::cold(configs)?;
+                DeltaStats::full()
+            }
+        };
+        record_stats(&stats);
+        Ok(stats)
+    }
+
+    /// The filter-edit advance: re-resolves the edited routers' filters in
+    /// place (nothing else in the model can have changed), diffs their
+    /// verdicts against the old nodes, and [`refilter`]s.
+    fn refilter(
+        &mut self,
+        configs: &NetworkConfigs,
+        routers: &[usize],
+    ) -> Result<DeltaStats, SimError> {
+        let mut old = Vec::with_capacity(routers.len());
+        for &r in routers {
+            let rc = &configs.routers[&self.net.routers[r].name];
+            old.push(self.net.routers[r].clone());
+            self.net.refilter_router(RouterId(r as u32), rc);
+        }
+        let affected = flipped_destinations(
+            old.iter()
+                .zip(routers)
+                .map(|(node, &r)| (node, &self.net.routers[r])),
+            &self.net.destinations,
+        );
+        if let Err(e) = refilter(&self.net, &affected, &mut self.fibs, &mut self.state) {
+            // Leave the control plane as it was.
+            for (node, &r) in old.into_iter().zip(routers) {
+                self.net.routers[r] = node;
+            }
+            return Err(e);
+        }
+        for &r in routers {
+            let name = &self.net.routers[r].name;
+            if let Some(kept) = self.configs.routers.get_mut(name) {
+                kept.clone_from(&configs.routers[name]);
+            }
+        }
+        Ok(DeltaStats {
+            ospf_prefixes_total: self.net.destinations.len(),
+            ospf_prefixes_recomputed: affected.len(),
+            filter_edits: true,
+            ..DeltaStats::default()
+        })
+    }
+}
+
+/// Materializes a [`DeltaPlan`] into the full perturbed [`Simulation`].
 /// Returns `None` when the cached data plane's key order disagrees with
 /// the host enumeration (defensive; the caller falls back to a cold run).
 ///
@@ -540,7 +970,7 @@ pub(crate) fn plan_shutdowns(
 /// cached stream zips against the ordered-pair enumeration — the name
 /// checks keep this exact.
 ///
-/// Pair reuse soundness ([`ShutdownPlan::pair_reusable`], in check order):
+/// Pair reuse soundness ([`DeltaPlan::pair_reusable`], in check order):
 /// * endpoint attachments must have survived (the trace consults them
 ///   before any FIB);
 /// * an unattached source is an immediate blackhole regardless of any
@@ -554,7 +984,7 @@ pub(crate) fn plan_shutdowns(
 ///   of those lookups unchanged.
 pub(crate) fn materialize(
     base: &ConvergedSim,
-    plan: ShutdownPlan,
+    plan: DeltaPlan,
 ) -> Option<(Simulation, DeltaStats)> {
     let mut dp = base.sim.dataplane.clone();
     let mut pairs_total = 0usize;

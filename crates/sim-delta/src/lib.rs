@@ -1,20 +1,27 @@
 //! Incremental simulation engine: a content-addressed cache of converged
-//! simulations plus delta recomputation for fault perturbations.
+//! simulations plus delta recomputation for configuration perturbations.
 //!
 //! ConfMask's verification loop and the fault-scenario engine repeatedly
 //! simulate networks that differ from an already-simulated baseline by one
-//! or two administratively-shut interfaces. This crate makes those repeat
-//! simulations cheap without ever changing their answers:
+//! or two administratively-shut interfaces, and route anonymization
+//! re-simulates after every round of added or rolled-back filters. This
+//! crate makes those repeat simulations cheap without ever changing their
+//! answers:
 //!
 //! * [`DeltaEngine::converged`] memoizes full simulations behind a stable
 //!   structural hash of the configurations ([`hash::structural_hash`]),
 //!   with an LRU bound and collision-proof equality checks.
 //! * [`DeltaEngine::simulate_perturbed`] re-simulates a perturbed copy of
 //!   a cached baseline, recomputing only what the perturbation touched —
-//!   see [`delta`]'s module docs for the per-protocol soundness argument.
-//!   Results are **byte-identical** to a cold [`confmask_sim::simulate`]:
-//!   any perturbation outside the supported class falls back to a full
-//!   simulation, explicitly and observably (`sim.delta.full_fallbacks`).
+//!   see [`delta`]'s module docs for the per-protocol soundness argument
+//!   of each supported class (interface shutdowns, prefix-scoped filter
+//!   edits). Results are **byte-identical** to a cold
+//!   [`confmask_sim::simulate`]: any perturbation outside the supported
+//!   classes falls back to a full simulation, explicitly and observably
+//!   (`sim.delta.full_fallbacks`).
+//! * [`ControlPlane`] keeps one converged control plane (no data plane)
+//!   and advances it in place through a chain of filter edits — the
+//!   incremental form of Algorithm 2's re-simulation after each round.
 //! * [`DeltaEngine::run_scenario`] is a drop-in replacement for
 //!   [`confmask_sim::fault::run_scenario`] that routes the post-failure
 //!   simulation through the delta engine.
@@ -32,6 +39,7 @@ pub mod hash;
 pub mod sweep;
 
 pub use cache::SimCache;
+pub use delta::ControlPlane;
 pub use sweep::ScenarioSweep;
 
 use confmask_config::NetworkConfigs;
@@ -84,7 +92,7 @@ pub struct ConvergedSim {
 static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
 /// What a delta simulation reused versus recomputed.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeltaStats {
     /// The perturbation was unsupported (or an invariant check failed) and
     /// a full cold simulation ran instead.
@@ -100,6 +108,9 @@ pub struct DeltaStats {
     pub rip_warm_started: bool,
     /// Whether the cached BGP routes were reused wholesale.
     pub bgp_reused: bool,
+    /// Whether the perturbation took the filter-edit path (its affected
+    /// destinations are the recomputed OSPF prefixes).
+    pub filter_edits: bool,
     /// Ordered host pairs in the network.
     pub pairs_total: usize,
     /// Ordered host pairs that were re-traced.
@@ -109,27 +120,15 @@ pub struct DeltaStats {
 impl DeltaStats {
     pub(crate) fn identical() -> Self {
         DeltaStats {
-            full_fallback: false,
             identical: true,
-            ospf_prefixes_total: 0,
-            ospf_prefixes_recomputed: 0,
-            rip_warm_started: false,
-            bgp_reused: false,
-            pairs_total: 0,
-            pairs_recomputed: 0,
+            ..DeltaStats::default()
         }
     }
 
     pub(crate) fn full() -> Self {
         DeltaStats {
             full_fallback: true,
-            identical: false,
-            ospf_prefixes_total: 0,
-            ospf_prefixes_recomputed: 0,
-            rip_warm_started: false,
-            bgp_reused: false,
-            pairs_total: 0,
-            pairs_recomputed: 0,
+            ..DeltaStats::default()
         }
     }
 
@@ -415,8 +414,9 @@ impl DeltaEngine {
 }
 
 /// Records one delta simulation's [`DeltaStats`] into the `sim.delta.*`
-/// metrics — shared by [`DeltaEngine::simulate_perturbed`] and the
-/// streaming digest path, so both report reuse identically.
+/// metrics — shared by [`DeltaEngine::simulate_perturbed`], the streaming
+/// digest path and [`ControlPlane::advance`], so all report reuse
+/// identically.
 pub(crate) fn record_stats(stats: &DeltaStats) {
     if stats.full_fallback {
         confmask_obs::counter_add("sim.delta.full_fallbacks", 1);
@@ -426,6 +426,13 @@ pub(crate) fn record_stats(stats: &DeltaStats) {
     }
     if stats.rip_warm_started {
         confmask_obs::counter_add("sim.delta.rip_warm_starts", 1);
+    }
+    if stats.filter_edits {
+        confmask_obs::counter_add("sim.delta.filter_edits", 1);
+        confmask_obs::counter_add(
+            "sim.delta.filter_prefixes_recomputed",
+            stats.ospf_prefixes_recomputed as u64,
+        );
     }
     confmask_obs::counter_add(
         if stats.bgp_reused {
@@ -470,6 +477,8 @@ pub fn register_metrics() {
         "sim.delta.full_fallbacks",
         "sim.delta.identical_reuses",
         "sim.delta.rip_warm_starts",
+        "sim.delta.filter_edits",
+        "sim.delta.filter_prefixes_recomputed",
         "sim.delta.bgp_reuses",
         "sim.delta.bgp_recomputes",
         "sim.delta.ospf_prefixes_recomputed",
@@ -486,9 +495,10 @@ pub fn register_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use confmask_config::patch::Patcher;
     use confmask_config::{parse_router, HostConfig};
     use confmask_sim::fault::{enumerate_single_link_failures, run_scenario, Fault};
-    use confmask_sim::simulate;
+    use confmask_sim::{simulate, Fibs};
 
     fn host(name: &str, addr: &str, gw: &str) -> HostConfig {
         HostConfig {
@@ -628,6 +638,101 @@ mod tests {
         let down_base = engine.converged(&down).unwrap();
         let (_, stats) = engine.simulate_perturbed(&down_base, &cfgs).unwrap();
         assert!(stats.full_fallback);
+    }
+
+    fn assert_fibs_equal(a: &Fibs, b: &Fibs) {
+        assert_eq!(a.per_router.len(), b.per_router.len());
+        for (fa, fb) in a.per_router.iter().zip(b.per_router.iter()) {
+            assert_eq!(fa, fb);
+        }
+    }
+
+    /// `cfgs` plus a deny entry for `prefix` in list `F` on `router`,
+    /// bound inbound on `iface`.
+    fn deny(cfgs: &NetworkConfigs, router: &str, iface: &str, prefix: &str) -> NetworkConfigs {
+        let mut p = Patcher::new(cfgs.clone());
+        p.ensure_deny_entry(router, "F", prefix.parse().unwrap())
+            .unwrap();
+        p.bind_igp_filter(router, "F", iface).unwrap();
+        p.network().clone()
+    }
+
+    #[test]
+    fn filter_only_diff_takes_the_filter_edit_path() {
+        let cfgs = triangle();
+        // r1 loses its only shortest path toward h2's LAN.
+        let edited = deny(&cfgs, "r1", "Ethernet0/0", "10.1.2.0/24");
+        assert!(matches!(
+            delta::diff_configs(&cfgs, &edited),
+            delta::ConfigDiff::FilterEdits { ref routers } if routers == &[0]
+        ));
+        let engine = DeltaEngine::new(4);
+        let base = engine.converged(&cfgs).unwrap();
+        let (sim, stats) = engine.simulate_perturbed(&base, &edited).unwrap();
+        assert!(stats.filter_edits && !stats.full_fallback);
+        assert_eq!(stats.ospf_prefixes_recomputed, 1, "only h2's LAN");
+        assert_sims_equal(&sim, &simulate(&edited).unwrap());
+        // h2 → h1 never consults the changed entry: reused, not re-traced.
+        assert_eq!((stats.pairs_recomputed, stats.pairs_total), (1, 2));
+    }
+
+    #[test]
+    fn filter_plus_shutdown_diff_is_unsupported() {
+        let cfgs = triangle();
+        let mut edited = deny(&cfgs, "r1", "Ethernet0/0", "10.1.2.0/24");
+        edited.routers.get_mut("r3").unwrap().interfaces[0].shutdown = true;
+        assert!(matches!(
+            delta::diff_configs(&cfgs, &edited),
+            delta::ConfigDiff::Unsupported
+        ));
+        let engine = DeltaEngine::new(4);
+        let base = engine.converged(&cfgs).unwrap();
+        let (sim, stats) = engine.simulate_perturbed(&base, &edited).unwrap();
+        assert!(stats.full_fallback);
+        assert_sims_equal(&sim, &simulate(&edited).unwrap());
+    }
+
+    #[test]
+    fn binding_to_a_missing_list_affects_no_prefix() {
+        let cfgs = triangle();
+        let mut p = Patcher::new(cfgs.clone());
+        p.bind_igp_filter("r1", "Missing", "Ethernet0/0").unwrap();
+        let edited = p.network().clone();
+        assert!(matches!(
+            delta::diff_configs(&cfgs, &edited),
+            delta::ConfigDiff::FilterEdits { .. }
+        ));
+        let mut cp = ControlPlane::cold(&cfgs).unwrap();
+        let stats = cp.advance(&edited).unwrap();
+        assert!(stats.filter_edits && !stats.full_fallback);
+        assert_eq!(stats.ospf_prefixes_recomputed, 0);
+        let (_, cold) = confmask_sim::simulate_control_plane(&edited).unwrap();
+        assert_fibs_equal(cp.fibs(), &cold);
+    }
+
+    #[test]
+    fn control_plane_tracks_cold_through_a_deny_and_its_rollback() {
+        let cfgs = triangle();
+        let lan2 = "10.1.2.0/24".parse().unwrap();
+        let mut cp = ControlPlane::cold(&cfgs).unwrap();
+        let mut p = Patcher::new(cfgs.clone());
+        p.ensure_deny_entry("r1", "Rej-Ethernet0/0", lan2).unwrap();
+        p.bind_igp_filter("r1", "Rej-Ethernet0/0", "Ethernet0/0")
+            .unwrap();
+        let stats = cp.advance(p.network()).unwrap();
+        assert_eq!(stats.ospf_prefixes_recomputed, 1);
+        let (_, cold) = confmask_sim::simulate_control_plane(p.network()).unwrap();
+        assert_fibs_equal(cp.fibs(), &cold);
+        let r1 = cp.net().router_id("r1").unwrap();
+        assert!(cp.fibs().of(r1).entry(&lan2).is_none(), "the deny bites");
+
+        // Algorithm 2's rollback: the emptied list and its binding go.
+        assert!(p
+            .remove_added_deny_entry("r1", "Rej-Ethernet0/0", lan2)
+            .unwrap());
+        cp.advance(p.network()).unwrap();
+        let (_, cold) = confmask_sim::simulate_control_plane(&cfgs).unwrap();
+        assert_fibs_equal(cp.fibs(), &cold);
     }
 
     #[test]

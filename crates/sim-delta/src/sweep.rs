@@ -4,10 +4,10 @@
 //!
 //! [`ScenarioSweep`] binds a cached baseline ([`ConvergedSim`]) to an
 //! interned pair table once, then classifies each failure scenario
-//! per-pair straight off the [`delta::ShutdownPlan`]:
+//! per-pair straight off the [`delta::DeltaPlan`]:
 //!
 //! * a **reusable** pair (same predicate the materializing path uses —
-//!   [`delta::ShutdownPlan::pair_reusable`]) whose baseline path set
+//!   [`delta::DeltaPlan::pair_reusable`]) whose baseline path set
 //!   equals the base's classifies as `Unchanged` without touching a path;
 //! * a reusable pair whose sweep baseline *differs* from the base (a
 //!   masked-network sweep compared against the original's baseline)
@@ -251,7 +251,7 @@ impl<'a> ScenarioSweep<'a> {
     fn digest_plan(
         &self,
         failed: &NetworkConfigs,
-        plan: &delta::ShutdownPlan,
+        plan: &delta::DeltaPlan,
     ) -> (ScenarioDigest, DeltaStats) {
         // Physical connectivity only arbitrates dropped traffic, so the
         // component flood fill runs lazily, at most once per scenario.

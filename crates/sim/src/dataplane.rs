@@ -405,13 +405,19 @@ fn dfs(net: &SimNetwork, fibs: &Fibs, dst: HostId, walk: &mut Vec<RouterId>, out
     }
 }
 
-/// The set of hosts reachable (cleanly) from a given router — used by the
-/// route-anonymization algorithm (Algorithm 2) to check it never breaks
-/// reachability.
-pub fn reachable_hosts_from_router(net: &SimNetwork, fibs: &Fibs, r: RouterId) -> BTreeSet<HostId> {
+/// The hosts among `hosts` reachable (cleanly) from a given router — used
+/// by the route-anonymization algorithm (Algorithm 2) to check it never
+/// breaks reachability. Each host costs one forwarding walk, so callers
+/// pass only the hosts whose routes can have changed.
+pub fn reachable_hosts_from_router(
+    net: &SimNetwork,
+    fibs: &Fibs,
+    r: RouterId,
+    hosts: impl IntoIterator<Item = HostId>,
+) -> BTreeSet<HostId> {
     let mut reachable = BTreeSet::new();
     let mut out = PathArena::default();
-    for (hid, _h) in net.hosts_iter() {
+    for hid in hosts {
         out.clear();
         let mut walk = vec![r];
         dfs(net, fibs, hid, &mut walk, &mut out);
@@ -524,8 +530,16 @@ mod tests {
     fn reachability_from_each_router() {
         let sim = simulate(&two_net()).unwrap();
         for (rid, _) in sim.net.routers_iter() {
-            let reach = reachable_hosts_from_router(&sim.net, &sim.fibs, rid);
+            let all = sim.net.hosts_iter().map(|(h, _)| h);
+            let reach = reachable_hosts_from_router(&sim.net, &sim.fibs, rid, all);
             assert_eq!(reach.len(), 2, "every router reaches both hosts");
+            let h2 = sim.net.host_id("h2").unwrap();
+            let reach = reachable_hosts_from_router(&sim.net, &sim.fibs, rid, [h2]);
+            assert_eq!(
+                reach,
+                BTreeSet::from([h2]),
+                "only the asked hosts are walked"
+            );
         }
     }
 

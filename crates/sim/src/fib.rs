@@ -2,7 +2,6 @@
 //! longest-prefix-match lookup.
 
 use crate::bgp;
-use crate::error::SimError;
 use crate::network::SimNetwork;
 use crate::ospf;
 use crate::rip;
@@ -90,20 +89,43 @@ pub struct FibEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fib {
     entries: BTreeMap<Ipv4Prefix, FibEntry>,
+    /// Bit `l` is set iff some entry has prefix length `l` (0..=32), so a
+    /// lookup probes only the lengths present instead of scanning entries.
+    lens: u64,
 }
 
 impl Fib {
-    /// Inserts an entry.
+    /// Inserts an entry (replacing any entry for the same prefix).
     pub fn insert(&mut self, entry: FibEntry) {
+        self.lens |= 1u64 << entry.prefix.len();
         self.entries.insert(entry.prefix, entry);
     }
 
-    /// Longest-prefix-match lookup.
+    /// Removes the entry for exactly `prefix`, if any.
+    pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<FibEntry> {
+        let removed = self.entries.remove(prefix)?;
+        let len = prefix.len();
+        if !self.entries.keys().any(|p| p.len() == len) {
+            self.lens &= !(1u64 << len);
+        }
+        Some(removed)
+    }
+
+    /// Longest-prefix-match lookup: probes each prefix length present,
+    /// longest first. At most one entry per length can contain `addr`
+    /// (the one keyed by `addr` masked to that length), so the first hit
+    /// is the longest match.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<&FibEntry> {
-        self.entries
-            .values()
-            .filter(|e| e.prefix.contains_addr(addr))
-            .max_by_key(|e| e.prefix.len())
+        let mut lens = self.lens;
+        while lens != 0 {
+            let len = 63 - lens.leading_zeros() as u8;
+            lens &= !(1u64 << len);
+            let key = Ipv4Prefix::new(addr, len).expect("FIB prefix lengths are at most 32");
+            if let Some(e) = self.entries.get(&key) {
+                return Some(e);
+            }
+        }
+        None
     }
 
     /// Exact-prefix entry.
@@ -141,33 +163,11 @@ impl Fibs {
     }
 }
 
-/// Runs every protocol and merges RIBs into FIBs by administrative distance.
-pub fn compute_fibs(net: &SimNetwork) -> Result<Fibs, SimError> {
-    let ospf_routes = ospf::compute(net);
-    let rip_routes = rip::compute(net);
-    let bgp_routes = compute_bgp_routes(net)?;
-    Ok(merge_fibs(net, &ospf_routes, &rip_routes, &bgp_routes))
-}
-
-/// Runs BGP (resolving iBGP through the IGP) when any router speaks it.
-/// The router-to-router IGP matrix is only needed as BGP input, so pure
-/// IGP networks skip its `n` Dijkstras entirely.
-pub(crate) fn compute_bgp_routes(
-    net: &SimNetwork,
-) -> Result<Vec<BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>>, SimError> {
-    if net.routers.iter().any(|r| r.asn.is_some()) {
-        let igp = ospf::router_paths(net);
-        bgp::compute(net, &igp)
-    } else {
-        Ok(vec![BTreeMap::new(); net.router_count()])
-    }
-}
-
 /// Merges per-protocol RIB contributions into FIBs by administrative
 /// distance. This is the *only* merge implementation — the incremental
 /// engine feeds it spliced (partly reused, partly recomputed) protocol
-/// tables, so cold and delta simulations go through byte-identical merge
-/// logic.
+/// tables, or re-merges single prefixes through [`merge_prefix`], so cold
+/// and delta simulations go through byte-identical merge logic.
 pub fn merge_fibs(
     net: &SimNetwork,
     ospf_routes: &ospf::IgpRoutes,
@@ -184,7 +184,8 @@ pub fn merge_fibs(
 
 /// Merges one router's RIB contributions into its FIB — the per-router
 /// body of [`merge_fibs`], exposed so the incremental engine can merge
-/// only the routers a perturbation touched (and clone the rest).
+/// only the routers a perturbation touched (and clone the rest): its
+/// static routes, then [`merge_prefix`] for every destination.
 pub fn merge_router_fib(
     net: &SimNetwork,
     rid: RouterId,
@@ -194,7 +195,6 @@ pub fn merge_router_fib(
 ) -> Fib {
     let mut fib = Fib::default();
     let router = net.router(rid);
-    let r = rid.0 as usize;
     // Static routes install at their own prefixes (longest-prefix match
     // then decides against dynamic routes; at equal prefixes, AD 1 wins
     // over everything but Connected). Unresolvable next hops are
@@ -228,98 +228,88 @@ pub fn merge_router_fib(
         }
     }
     for (prefix, _hosts) in &net.destinations {
-        // 1. Connected.
-        if let Some(iface) = router.ifaces.iter().position(|i| i.prefix == *prefix) {
-            fib.insert(FibEntry {
-                prefix: *prefix,
-                source: RouteSource::Connected,
-                next_hops: vec![NextHop::Deliver { iface }],
-            });
-            continue;
-        }
-        // 1b. Static at the exact destination prefix (AD 1).
-        if fib
-            .entry(prefix)
-            .is_some_and(|e| e.source == RouteSource::Static)
-        {
-            continue;
-        }
+        merge_prefix(
+            net,
+            rid,
+            prefix,
+            &mut fib,
+            ospf_routes,
+            rip_routes,
+            bgp_routes,
+        );
+    }
+    fib
+}
+
+/// (Re)installs router `rid`'s winning route for destination `prefix`
+/// into `fib`, which already holds the router's static routes — the
+/// per-prefix body of [`merge_router_fib`]. Any dynamic entry `fib` held
+/// for `prefix` is replaced (or removed when no protocol offers a route),
+/// so the incremental engine can re-merge exactly the prefixes whose
+/// protocol routes changed.
+pub fn merge_prefix(
+    net: &SimNetwork,
+    rid: RouterId,
+    prefix: &Ipv4Prefix,
+    fib: &mut Fib,
+    ospf_routes: &ospf::IgpRoutes,
+    rip_routes: &rip::RipRoutes,
+    bgp_routes: &[BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>],
+) {
+    let router = net.router(rid);
+    let r = rid.0 as usize;
+    // 1. Connected.
+    if let Some(iface) = router.ifaces.iter().position(|i| i.prefix == *prefix) {
+        fib.insert(FibEntry {
+            prefix: *prefix,
+            source: RouteSource::Connected,
+            next_hops: vec![NextHop::Deliver { iface }],
+        });
+        return;
+    }
+    // 1b. Static at the exact destination prefix (AD 1).
+    if fib
+        .entry(prefix)
+        .is_some_and(|e| e.source == RouteSource::Static)
+    {
+        return;
+    }
+    let forward = |hops: &[(usize, RouterId)], session_peer| {
+        hops.iter()
+            .map(|&(via_iface, router)| NextHop::Forward {
+                via_iface,
+                router,
+                session_peer,
+            })
+            .collect()
+    };
+    let bgp = bgp_routes[r]
+        .get(prefix)
+        .filter(|b| !b.next_hops.is_empty());
+    let winner = if let Some(b) = bgp.filter(|b| b.source == RouteSource::Ebgp) {
         // 2. eBGP (AD 20).
-        if let Some(b) = bgp_routes[r].get(prefix) {
-            if b.source == RouteSource::Ebgp && !b.next_hops.is_empty() {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    source: RouteSource::Ebgp,
-                    next_hops: b
-                        .next_hops
-                        .iter()
-                        .map(|&(via_iface, router)| NextHop::Forward {
-                            via_iface,
-                            router,
-                            session_peer: b.session_peer,
-                        })
-                        .collect(),
-                });
-                continue;
-            }
-        }
+        Some((RouteSource::Ebgp, forward(&b.next_hops, b.session_peer)))
+    } else if let Some(hops) = ospf_routes[r].get(prefix).filter(|h| !h.is_empty()) {
         // 3. OSPF (AD 110).
-        if let Some(hops) = ospf_routes[r].get(prefix) {
-            if !hops.is_empty() {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    source: RouteSource::Ospf,
-                    next_hops: hops
-                        .iter()
-                        .map(|&(via_iface, router)| NextHop::Forward {
-                            via_iface,
-                            router,
-                            session_peer: None,
-                        })
-                        .collect(),
-                });
-                continue;
-            }
-        }
+        Some((RouteSource::Ospf, forward(hops, None)))
+    } else if let Some(hops) = rip_routes[r].get(prefix).filter(|h| !h.is_empty()) {
         // 4. RIP (AD 120).
-        if let Some(hops) = rip_routes[r].get(prefix) {
-            if !hops.is_empty() {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    source: RouteSource::Rip,
-                    next_hops: hops
-                        .iter()
-                        .map(|&(via_iface, router)| NextHop::Forward {
-                            via_iface,
-                            router,
-                            session_peer: None,
-                        })
-                        .collect(),
-                });
-                continue;
-            }
-        }
+        Some((RouteSource::Rip, forward(hops, None)))
+    } else {
         // 5. iBGP (AD 200).
-        if let Some(b) = bgp_routes[r].get(prefix) {
-            if b.source == RouteSource::Ibgp && !b.next_hops.is_empty() {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    source: RouteSource::Ibgp,
-                    next_hops: b
-                        .next_hops
-                        .iter()
-                        .map(|&(via_iface, router)| NextHop::Forward {
-                            via_iface,
-                            router,
-                            session_peer: None,
-                        })
-                        .collect(),
-                });
-            }
+        bgp.filter(|b| b.source == RouteSource::Ibgp)
+            .map(|b| (RouteSource::Ibgp, forward(&b.next_hops, None)))
+    };
+    match winner {
+        Some((source, next_hops)) => fib.insert(FibEntry {
+            prefix: *prefix,
+            source,
+            next_hops,
+        }),
+        None => {
+            fib.remove(prefix);
         }
     }
-
-    fib
 }
 
 #[cfg(test)]
@@ -348,6 +338,64 @@ mod tests {
         let hit = fib.lookup("10.2.2.3".parse().unwrap()).unwrap();
         assert_eq!(hit.prefix, p("10.0.0.0/8"));
         assert!(fib.lookup("11.0.0.1".parse().unwrap()).is_none());
+    }
+
+    #[test]
+    fn length_probing_matches_a_full_scan() {
+        let entry = |s: &str| FibEntry {
+            prefix: p(s),
+            source: RouteSource::Ospf,
+            next_hops: vec![NextHop::Deliver { iface: 0 }],
+        };
+        let mut fib = Fib::default();
+        for s in [
+            "0.0.0.0/0",
+            "10.0.0.0/8",
+            "10.1.0.0/16",
+            "10.1.2.0/24",
+            "10.1.2.128/25",
+        ] {
+            fib.insert(entry(s));
+        }
+        fib.insert(entry("10.1.2.3/32"));
+        let scan = |fib: &Fib, a: Ipv4Addr| {
+            fib.entries()
+                .filter(|e| e.prefix.contains_addr(a))
+                .max_by_key(|e| e.prefix.len())
+                .map(|e| e.prefix)
+        };
+        let addrs = [
+            "10.1.2.3",
+            "10.1.2.200",
+            "10.1.2.4",
+            "10.1.9.9",
+            "10.9.9.9",
+            "11.0.0.1",
+        ];
+        for a in addrs {
+            let a: Ipv4Addr = a.parse().unwrap();
+            assert_eq!(fib.lookup(a).map(|e| e.prefix), scan(&fib, a), "{a}");
+        }
+        // Removing the only /32 and /25 clears their probe bits; the next
+        // longest match takes over, and re-inserting restores it.
+        assert!(fib.remove(&p("10.1.2.3/32")).is_some());
+        assert!(fib.remove(&p("10.1.2.128/25")).is_some());
+        assert!(fib.remove(&p("10.1.2.128/25")).is_none());
+        assert_eq!(fib, {
+            let mut f = Fib::default();
+            for s in ["0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"] {
+                f.insert(entry(s));
+            }
+            f
+        });
+        for a in addrs {
+            let a: Ipv4Addr = a.parse().unwrap();
+            assert_eq!(fib.lookup(a).map(|e| e.prefix), scan(&fib, a), "{a}");
+        }
+        assert_eq!(
+            fib.lookup("10.1.2.3".parse().unwrap()).unwrap().prefix,
+            p("10.1.2.0/24")
+        );
     }
 
     #[test]

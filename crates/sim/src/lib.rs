@@ -47,7 +47,8 @@ pub use sweep::{
     DigestList, PairTable, ScenarioDigest, SweepReducer, SweepStats, SweepSummary,
 };
 pub use fib::{
-    merge_fibs, merge_router_fib, AdminDistance, Fib, FibEntry, Fibs, NextHop, RouteSource,
+    merge_fibs, merge_prefix, merge_router_fib, AdminDistance, Fib, FibEntry, Fibs, NextHop,
+    RouteSource,
 };
 pub use network::{BgpSession, HostNode, IfaceNode, Peer, RouterNode, SimNetwork};
 pub use ospf::{IgpRoutes, OspfDist, RouterPaths};
@@ -76,16 +77,7 @@ pub struct Simulation {
 /// merges RIBs into FIBs by administrative distance, and enumerates the
 /// data plane.
 pub fn simulate(configs: &NetworkConfigs) -> Result<Simulation, SimError> {
-    let (net, fibs) = simulate_control_plane(configs)?;
-    let sp = confmask_obs::span("sim.dataplane");
-    let dataplane = dataplane::extract_dataplane(&net, &fibs)?;
-    sp.finish();
-    emit_dataplane_metrics(&dataplane);
-    Ok(Simulation {
-        net,
-        fibs,
-        dataplane,
-    })
+    simulate_with_state(configs).map(|(sim, _)| sim)
 }
 
 /// Records the data-plane size metrics every full simulation reports,
@@ -120,7 +112,7 @@ pub fn register_metrics() {
 
 /// The converged per-protocol control-plane state behind a [`Simulation`].
 ///
-/// [`simulate_with_state`] returns it alongside the result so the
+/// [`control_plane`] returns it alongside the FIBs so the
 /// incremental engine (`confmask-sim-delta`) can cache what each protocol
 /// converged *to* — per-prefix OSPF/RIP distance vectors, the IGP
 /// router-to-router matrix, and the BGP RIB contributions — and later
@@ -143,21 +135,53 @@ pub struct ControlState {
 }
 
 /// Like [`simulate`], but also returns the converged [`ControlState`].
-///
-/// The `Simulation` half is byte-identical to what [`simulate`] produces:
-/// both run the same protocol implementations and the same
-/// [`merge_fibs`] / dataplane extraction.
 pub fn simulate_with_state(
     configs: &NetworkConfigs,
 ) -> Result<(Simulation, ControlState), SimError> {
+    let (net, fibs, state) = control_plane(configs)?;
+    let sp = confmask_obs::span("sim.dataplane");
+    let dataplane = dataplane::extract_dataplane(&net, &fibs)?;
+    sp.finish();
+    emit_dataplane_metrics(&dataplane);
+    let sim = Simulation {
+        net,
+        fibs,
+        dataplane,
+    };
+    Ok((sim, state))
+}
+
+/// Control-plane-only simulation: model extraction and FIB computation
+/// without the (comparatively expensive) exhaustive data-plane enumeration.
+/// The anonymization pipeline's inner fixpoint loops only inspect FIBs, so
+/// they use this entry point and reserve [`simulate`] for verification.
+pub fn simulate_control_plane(configs: &NetworkConfigs) -> Result<(SimNetwork, Fibs), SimError> {
+    control_plane(configs).map(|(net, fibs, _)| (net, fibs))
+}
+
+/// The one control-plane implementation behind [`simulate`],
+/// [`simulate_with_state`] and [`simulate_control_plane`]: extracts the
+/// model, runs every configured protocol, and merges their RIBs into FIBs
+/// through [`merge_fibs`]. Returns the converged per-protocol
+/// [`ControlState`] alongside, which the incremental engine
+/// (`confmask-sim-delta`) keeps to recompute only what a later
+/// perturbation touches.
+pub fn control_plane(
+    configs: &NetworkConfigs,
+) -> Result<(SimNetwork, Fibs, ControlState), SimError> {
     let sp = confmask_obs::span("sim.control_plane");
     confmask_obs::counter_add("sim.simulations", 1);
+    // Register the protocol counters at zero so the metric set is stable
+    // across protocol mixes (an OSPF-only network still reports
+    // `sim.bgp.rounds` = 0 rather than omitting the key).
     for name in ["sim.ospf.spf_runs", "sim.rip.rounds", "sim.bgp.rounds"] {
         confmask_obs::counter_add(name, 0);
     }
     let net = SimNetwork::build(configs)?;
     let (ospf_routes, ospf_dist) = ospf::compute_with_state(&net);
     let (rip_routes, rip_dist) = rip::compute_with_state(&net, None);
+    // The router-to-router IGP matrix is only BGP input, so pure IGP
+    // networks skip its `n` Dijkstras entirely.
     let any_bgp = net.routers.iter().any(|r| r.asn.is_some());
     let (router_paths, bgp_routes) = if any_bgp {
         let rp = ospf::router_paths(&net);
@@ -168,15 +192,11 @@ pub fn simulate_with_state(
     };
     let fibs = merge_fibs(&net, &ospf_routes, &rip_routes, &bgp_routes);
     sp.finish();
-    let sp = confmask_obs::span("sim.dataplane");
-    let dataplane = dataplane::extract_dataplane(&net, &fibs)?;
-    sp.finish();
-    emit_dataplane_metrics(&dataplane);
-    let sim = Simulation {
-        net,
-        fibs,
-        dataplane,
-    };
+    if confmask_obs::enabled() {
+        for fib in &fibs.per_router {
+            confmask_obs::observe("sim.fib.size", fib.len() as u64);
+        }
+    }
     let state = ControlState {
         ospf_routes,
         ospf_dist,
@@ -185,29 +205,5 @@ pub fn simulate_with_state(
         router_paths,
         bgp_routes,
     };
-    Ok((sim, state))
-}
-
-/// Control-plane-only simulation: model extraction and FIB computation
-/// without the (comparatively expensive) exhaustive data-plane enumeration.
-/// The anonymization pipeline's inner fixpoint loops only inspect FIBs, so
-/// they use this entry point and reserve [`simulate`] for verification.
-pub fn simulate_control_plane(configs: &NetworkConfigs) -> Result<(SimNetwork, Fibs), SimError> {
-    let sp = confmask_obs::span("sim.control_plane");
-    confmask_obs::counter_add("sim.simulations", 1);
-    // Register the protocol counters at zero so the metric set is stable
-    // across protocol mixes (an OSPF-only network still reports
-    // `sim.bgp.rounds` = 0 rather than omitting the key).
-    for name in ["sim.ospf.spf_runs", "sim.rip.rounds", "sim.bgp.rounds"] {
-        confmask_obs::counter_add(name, 0);
-    }
-    let net = SimNetwork::build(configs)?;
-    let fibs = fib::compute_fibs(&net)?;
-    sp.finish();
-    if confmask_obs::enabled() {
-        for fib in &fibs.per_router {
-            confmask_obs::observe("sim.fib.size", fib.len() as u64);
-        }
-    }
-    Ok((net, fibs))
+    Ok((net, fibs, state))
 }

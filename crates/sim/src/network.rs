@@ -189,6 +189,24 @@ impl SimNetwork {
         })
     }
 
+    /// Re-resolves router `rid`'s route filters from `rc` in place: every
+    /// interface's inbound IGP filters and every BGP session's inbound
+    /// filters, exactly as [`SimNetwork::build`] resolves them. Nothing
+    /// else is touched, so when `rc` differs from the configuration the
+    /// model was built from only in prefix lists and distribute-list
+    /// bindings, the result equals a rebuild — the incremental engine's
+    /// way to advance a model through filter edits without rebuilding it.
+    pub fn refilter_router(&mut self, rid: RouterId, rc: &RouterConfig) {
+        let bindings = igp_bindings(rc);
+        let router = &mut self.routers[rid.0 as usize];
+        for iface in &mut router.ifaces {
+            iface.igp_filters = iface_filters(rc, &bindings, &iface.name);
+        }
+        for session in &mut router.sessions {
+            session.in_filters = session_filters(rc, session.peer_addr);
+        }
+    }
+
     /// Builds the model from configurations.
     pub fn build(configs: &NetworkConfigs) -> Result<Self, SimError> {
         let router_names: Vec<&String> = configs.routers.keys().collect();
@@ -269,18 +287,7 @@ impl SimNetwork {
                     .ifaces
                     .iter()
                     .position(|i| i.prefix.contains_addr(nb.addr));
-                let in_filters = bgp
-                    .distribute_lists
-                    .iter()
-                    .filter_map(|d| match d {
-                        DistributeListBinding::Neighbor { list, neighbor, .. }
-                            if *neighbor == nb.addr =>
-                        {
-                            rc.prefix_list(list).cloned()
-                        }
-                        _ => None,
-                    })
-                    .collect();
+                let in_filters = session_filters(rc, nb.addr);
                 sessions.push(BgpSession {
                     local_iface,
                     peer_addr: nb.addr,
@@ -324,18 +331,7 @@ fn build_router(rc: &RouterConfig) -> Result<RouterNode, SimError> {
         .flat_map(|r| r.networks.iter().map(|n| n.prefix))
         .collect();
 
-    let igp_bindings: Vec<(&str, &str)> = rc
-        .ospf
-        .iter()
-        .flat_map(|o| o.distribute_lists.iter())
-        .chain(rc.rip.iter().flat_map(|r| r.distribute_lists.iter()))
-        .filter_map(|d| match d {
-            DistributeListBinding::Interface {
-                list, interface, ..
-            } => Some((list.as_str(), interface.as_str())),
-            _ => None,
-        })
-        .collect();
+    let igp_bindings = igp_bindings(rc);
 
     let mut ifaces = Vec::new();
     for iface in &rc.interfaces {
@@ -348,11 +344,7 @@ fn build_router(rc: &RouterConfig) -> Result<RouterNode, SimError> {
         let prefix = Ipv4Prefix::new(addr, len)
             .map_err(|e| SimError::BadConfig(format!("{}/{}: {e}", rc.hostname, iface.name)))?;
         let covers = |nets: &[Ipv4Prefix]| nets.iter().any(|n| n.contains_addr(addr));
-        let igp_filters = igp_bindings
-            .iter()
-            .filter(|(_, i)| *i == iface.name)
-            .filter_map(|(l, _)| rc.prefix_list(l).cloned())
-            .collect();
+        let igp_filters = iface_filters(rc, &igp_bindings, &iface.name);
         ifaces.push(IfaceNode {
             name: iface.name.clone(),
             addr,
@@ -380,6 +372,46 @@ fn build_router(rc: &RouterConfig) -> Result<RouterNode, SimError> {
         runs_ospf: rc.ospf.is_some(),
         runs_rip: rc.rip.is_some(),
     })
+}
+
+/// A router's IGP distribute-list bindings as `(list, interface)` pairs,
+/// OSPF's then RIP's.
+fn igp_bindings(rc: &RouterConfig) -> Vec<(&str, &str)> {
+    rc.ospf
+        .iter()
+        .flat_map(|o| o.distribute_lists.iter())
+        .chain(rc.rip.iter().flat_map(|r| r.distribute_lists.iter()))
+        .filter_map(|d| match d {
+            DistributeListBinding::Interface {
+                list, interface, ..
+            } => Some((list.as_str(), interface.as_str())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The inbound IGP filters bound to interface `name`, resolved to their
+/// prefix lists (bindings to missing lists resolve to nothing).
+fn iface_filters(rc: &RouterConfig, bindings: &[(&str, &str)], name: &str) -> Vec<PrefixList> {
+    bindings
+        .iter()
+        .filter(|(_, i)| *i == name)
+        .filter_map(|(l, _)| rc.prefix_list(l).cloned())
+        .collect()
+}
+
+/// The inbound filters bound to the BGP session with `neighbor`.
+fn session_filters(rc: &RouterConfig, neighbor: Ipv4Addr) -> Vec<PrefixList> {
+    rc.bgp
+        .iter()
+        .flat_map(|b| b.distribute_lists.iter())
+        .filter_map(|d| match d {
+            DistributeListBinding::Neighbor {
+                list, neighbor: n, ..
+            } if *n == neighbor => rc.prefix_list(list).cloned(),
+            _ => None,
+        })
+        .collect()
 }
 
 fn build_host(hc: &HostConfig, routers: &[RouterNode]) -> Result<HostNode, SimError> {

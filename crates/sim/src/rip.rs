@@ -52,6 +52,29 @@ pub fn compute(net: &SimNetwork) -> RipRoutes {
 /// The caller (the delta engine) is responsible for the removal-only
 /// precondition; a cold run (`warm = None`) needs no precondition.
 pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoutes, RipDist) {
+    compute_dests(net, &net.destinations, warm)
+}
+
+/// Computes RIP routes and distance vectors for a *subset* of destination
+/// prefixes, cold. Each prefix's Bellman–Ford runs on its own (a filter
+/// on one prefix never changes another's advertisements), so the output
+/// for a subset is byte-identical to the corresponding slice of a full
+/// [`compute_with_state`] run. The incremental engine calls this with the
+/// prefixes whose filter verdicts changed; unlike a warm start, a cold
+/// per-prefix run needs no removal-only precondition, so it is sound for
+/// filters that are removed as well as added.
+pub fn compute_subset(
+    net: &SimNetwork,
+    destinations: &[(Ipv4Prefix, Vec<confmask_net_types::HostId>)],
+) -> (RipRoutes, RipDist) {
+    compute_dests(net, destinations, None)
+}
+
+fn compute_dests(
+    net: &SimNetwork,
+    destinations: &[(Ipv4Prefix, Vec<confmask_net_types::HostId>)],
+    warm: Option<&RipDist>,
+) -> (RipRoutes, RipDist) {
     let n = net.router_count();
 
     // RIP adjacency: both interfaces rip-active.
@@ -74,7 +97,7 @@ pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoute
     let mut routes: RipRoutes = vec![BTreeMap::new(); n];
     let mut dists = RipDist::new();
     let mut total_rounds = 0u64;
-    for (prefix, _hosts) in &net.destinations {
+    for (prefix, _hosts) in destinations {
         let mut dist = vec![RIP_INFINITY; n];
         let mut advertiser = vec![false; n];
         // Advertisers: connected + rip-active on the prefix; metric 1.
