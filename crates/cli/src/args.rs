@@ -33,11 +33,8 @@ pub enum Command {
         k: usize,
         /// Anonymize and verify equivalence under failure up to this k.
         verify: Option<usize>,
-        /// How many k = 2 scenarios to sample when k ≥ 2.
+        /// How many k = 2 scenarios to sample when k = 2.
         k2_sample: usize,
-        /// Bypass the incremental simulation engine: every scenario runs a
-        /// full cold simulation (the pre-delta behaviour).
-        cold_sim: bool,
         /// Configuration dialect (`None` = auto-detect).
         vendor: Option<Vendor>,
         /// Anonymization strategy used by `--verify-failures` (default:
@@ -168,14 +165,14 @@ USAGE:
   confmask anonymize --input <dir> --output <dir>
                      [--k-r N] [--k-h N] [--noise P] [--seed N]
                      [--fake-routers N] [--max-retries N]
-                     [--stage-deadline-secs S] [--verify-failures K]
+                     [--stage-deadline-secs S] [--verify-failures 1|2]
                      [--mode confmask|strawman1|strawman2] [--pii]
                      [--vendor auto|ios|junos-set|eos]
                      [--strategy confmask|nethide|netcloak]
-  confmask failures  [--input <dir>] [--k N] [--verify-failures K]
+  confmask failures  [--input <dir>] [--k 1|2] [--verify-failures 1|2]
                      [--k2-sample N] [--seed N] [--k-r N] [--k-h N]
                      [--fake-routers N] [--max-retries N]
-                     [--stage-deadline-secs S] [--cold-sim]
+                     [--stage-deadline-secs S]
                      [--vendor auto|ios|junos-set|eos]
                      [--strategy confmask|nethide|netcloak]
   confmask simulate  --input <dir> [--trace <src> <dst>]
@@ -217,10 +214,11 @@ echoes the strategy in job status and artifact listings.
 `failures` sweeps the
 input network itself, or — with --verify-failures — anonymizes it first
 and checks that original and anonymized degrade identically; it uses the
-bundled university network when --input is omitted. Sweeps reuse the
-converged baseline and recompute only what each fault touched (results
-are byte-identical to cold simulation); --cold-sim fully re-simulates
-every scenario instead.
+bundled university network when --input is omitted. --k and
+--verify-failures take 1 (every single-link failure) or 2 (plus
+--k2-sample seeded double-link failures). Sweeps reuse the converged
+baseline and recompute only what each fault touched (results are
+byte-identical to cold simulation).
 
 `serve` runs the anonymization-as-a-service daemon (default address
 127.0.0.1:7077): POST /v1/jobs, GET /v1/jobs/{id}[/artifacts],
@@ -274,6 +272,16 @@ fn parse_value<'a, T: std::str::FromStr>(
     take_value(args, flag)?
         .parse()
         .map_err(|_| ArgError(format!("{flag} expects {expects}")))
+}
+
+/// Parses a failure-sweep depth (`--k`, `--verify-failures`): the sweeps
+/// enumerate k = 1 exhaustively and sample k = 2, so only `1..=2` is
+/// honoured.
+fn fault_k<'a>(it: &mut impl Iterator<Item = &'a str>, flag: &str) -> Result<usize, ArgError> {
+    match parse_value(it, flag, "1 or 2")? {
+        k @ 1..=2 => Ok(k),
+        _ => Err(ArgError(format!("{flag} expects 1 or 2"))),
+    }
 }
 
 /// Parses a `--vendor` value: `auto` means sniff the input.
@@ -364,9 +372,7 @@ fn parse_command(argv: &[&str]) -> Result<Command, ArgError> {
                     "--input" => input = Some(PathBuf::from(take_value(&mut it, flag)?)),
                     "--output" => output = Some(PathBuf::from(take_value(&mut it, flag)?)),
                     "--pii" => pii = true,
-                    "--verify-failures" => {
-                        verify_failures = Some(parse_value(&mut it, flag, "an integer")?)
-                    }
+                    "--verify-failures" => verify_failures = Some(fault_k(&mut it, flag)?),
                     "--vendor" => vendor = vendor_value(&mut it)?,
                     "--strategy" => strategy = strategy_value(&mut it)?,
                     other => return Err(ArgError(format!("unknown flag '{other}'"))),
@@ -388,7 +394,6 @@ fn parse_command(argv: &[&str]) -> Result<Command, ArgError> {
             let mut k = 1;
             let mut verify = None;
             let mut k2_sample = 5;
-            let mut cold_sim = false;
             let mut vendor = None;
             let mut strategy = Strategy::ConfMask;
             while let Some(flag) = it.next() {
@@ -397,12 +402,9 @@ fn parse_command(argv: &[&str]) -> Result<Command, ArgError> {
                 }
                 match flag {
                     "--input" => input = Some(PathBuf::from(take_value(&mut it, flag)?)),
-                    "--k" => k = parse_value(&mut it, flag, "an integer")?,
-                    "--verify-failures" => {
-                        verify = Some(parse_value(&mut it, flag, "an integer")?)
-                    }
+                    "--k" => k = fault_k(&mut it, flag)?,
+                    "--verify-failures" => verify = Some(fault_k(&mut it, flag)?),
                     "--k2-sample" => k2_sample = parse_value(&mut it, flag, "an integer")?,
-                    "--cold-sim" => cold_sim = true,
                     "--vendor" => vendor = vendor_value(&mut it)?,
                     "--strategy" => strategy = strategy_value(&mut it)?,
                     other => return Err(ArgError(format!("unknown flag '{other}'"))),
@@ -414,7 +416,6 @@ fn parse_command(argv: &[&str]) -> Result<Command, ArgError> {
                 k,
                 verify,
                 k2_sample,
-                cold_sim,
                 vendor,
                 strategy,
             })
@@ -674,17 +675,15 @@ mod tests {
                 k,
                 verify,
                 k2_sample,
-                cold_sim,
                 ..
             } => {
                 assert_eq!(input, None);
                 assert_eq!((k, verify, k2_sample), (1, None, 5));
-                assert!(!cold_sim, "incremental engine is the default");
             }
             other => panic!("{other:?}"),
         }
         match parse_cmd(&argv(
-            "failures --input net --verify-failures 2 --k2-sample 3 --seed 9 --max-retries 0 --cold-sim",
+            "failures --input net --verify-failures 2 --k2-sample 3 --seed 9 --max-retries 0",
         ))
         .unwrap()
         {
@@ -693,7 +692,6 @@ mod tests {
                 params,
                 verify,
                 k2_sample,
-                cold_sim,
                 ..
             } => {
                 assert_eq!(input, Some(PathBuf::from("net")));
@@ -701,12 +699,27 @@ mod tests {
                 assert_eq!(k2_sample, 3);
                 assert_eq!(params.seed, 9);
                 assert_eq!(params.max_retries, 0);
-                assert!(cold_sim);
             }
             other => panic!("{other:?}"),
         }
         assert!(parse_cmd(&argv("failures --verify-failures")).is_err());
         assert!(parse_cmd(&argv("failures --k nope")).is_err());
+        // Sweep depths outside 1..=2 are rejected, not silently clamped.
+        for bad in [
+            "failures --k 0",
+            "failures --k 3",
+            "failures --verify-failures 0",
+            "failures --verify-failures 3",
+            "anonymize --input in --output out --verify-failures 0",
+            "anonymize --input in --output out --verify-failures 3",
+        ] {
+            let err = parse_cmd(&argv(bad)).unwrap_err();
+            assert!(err.0.ends_with("expects 1 or 2"), "{bad}: {err}");
+        }
+        match parse_cmd(&argv("failures --k 2")).unwrap() {
+            Command::Failures { k, .. } => assert_eq!(k, 2),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

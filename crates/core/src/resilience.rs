@@ -33,7 +33,7 @@
 use crate::pipeline::Anonymized;
 use confmask_config::NetworkConfigs;
 use confmask_sim::fault::{enumerate_scenarios, DegradationClass, FailureScenario, Fault};
-use confmask_sim::sweep::{stream_scenarios, DigestList, PairTable, ScenarioDigest};
+use confmask_sim::sweep::{DigestList, PairTable, ScenarioDigest};
 use confmask_sim::DataPlane;
 use confmask_sim_delta::{DeltaEngine, ScenarioSweep};
 use std::sync::Arc;
@@ -102,9 +102,10 @@ impl FakeElementCheck {
 /// The full equivalence-under-failure verdict.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureEquivalenceReport {
-    /// The masked anonymized network failed to simulate even before any
-    /// fault was injected (fatal for the whole sweep).
-    pub masked_baseline_error: Option<String>,
+    /// A healthy baseline (the original, masked anonymized or anonymized
+    /// network) failed to simulate before any fault was injected, naming
+    /// the network. Fatal for the whole sweep.
+    pub baseline_error: Option<String>,
     /// The healthy masked anonymized network's real-pair data plane
     /// differs from the original's — every classification below is
     /// suspect when this is set.
@@ -118,7 +119,7 @@ pub struct FailureEquivalenceReport {
 impl FailureEquivalenceReport {
     /// Whether every scenario upholds equivalence under failure.
     pub fn holds(&self) -> bool {
-        self.masked_baseline_error.is_none()
+        self.baseline_error.is_none()
             && !self.masked_baseline_differs
             && self.real.iter().all(|s| s.holds())
             && self.fake.iter().all(|s| s.holds())
@@ -129,8 +130,8 @@ impl FailureEquivalenceReport {
     /// [`holds`]: FailureEquivalenceReport::holds
     pub fn violations(&self) -> Vec<String> {
         let mut out = Vec::new();
-        if let Some(e) = &self.masked_baseline_error {
-            out.push(format!("masked anonymized network failed to simulate: {e}"));
+        if let Some(e) = &self.baseline_error {
+            out.push(e.clone());
         }
         if self.masked_baseline_differs {
             out.push(
@@ -221,22 +222,33 @@ pub fn verify_failure_equivalence(
     // every scenario is a shutdown perturbation of one of three converged
     // baselines (original / masked / anonymized), exactly the workload the
     // delta recomputation is built for. Results are byte-identical to cold
-    // simulation; a baseline that fails to converge downgrades its
-    // scenarios to the cold path rather than aborting the sweep.
+    // simulation. The original and anonymized baselines are normally
+    // cache hits (the pipeline converged both through this same engine);
+    // a baseline that fails to converge ends the sweep.
     let engine = DeltaEngine::global();
+    let baselines = [
+        ("original", original),
+        ("masked anonymized", &masked),
+        ("anonymized", &result.configs),
+    ]
+    .map(|(network, configs)| {
+        engine
+            .converged(configs)
+            .map_err(|e| format!("{network} network failed to simulate: {e}"))
+    });
+    let [orig_conv, masked_conv, anon_conv] = match baselines {
+        [Ok(o), Ok(m), Ok(a)] => [o, m, a],
+        failed => {
+            report.baseline_error = failed.into_iter().find_map(Result::err);
+            return report;
+        }
+    };
 
     // The masked network's healthy data plane must equal the original's on
     // real pairs: functional equivalence holds with the fakes up, and
     // masking only removes candidates the filters already suppressed. A
     // divergence here poisons every per-scenario classification, so it is
     // recorded as its own violation.
-    let masked_conv = match engine.converged(&masked) {
-        Ok(conv) => conv,
-        Err(e) => {
-            report.masked_baseline_error = Some(e.to_string());
-            return report;
-        }
-    };
     let masked_base: DataPlane = masked_conv
         .sim
         .dataplane
@@ -251,26 +263,12 @@ pub fn verify_failure_equivalence(
     //    digests — two digest lists are all that is ever retained, not two
     //    per-pair maps per scenario. Digests arrive in scenario order, so
     //    the report is byte-identical to the sequential sweep.
-    let orig_conv = engine.converged(original).ok();
     let scenarios = enumerate_scenarios(original, k, result.params.seed, k2_sample);
     let orig_table = Arc::new(PairTable::from_baseline(&orig_base));
     let mut orig_list = DigestList::default();
-    match &orig_conv {
-        Some(conv) => {
-            let sweep = ScenarioSweep::with_table(engine, conv, &orig_base, Arc::clone(&orig_table))
-                .expect("table interned from this baseline always matches it");
-            sweep.run(scenarios.iter(), &mut orig_list);
-        }
-        None => {
-            stream_scenarios(
-                original,
-                &orig_base,
-                &orig_table,
-                scenarios.iter(),
-                &mut orig_list,
-            );
-        }
-    }
+    ScenarioSweep::with_table(engine, &orig_conv, &orig_base, Arc::clone(&orig_table))
+        .expect("table interned from this baseline always matches it")
+        .run(scenarios.iter(), &mut orig_list);
     // The masked sweep reuses the original's pair table when the two
     // baselines cover the same real pairs (the usual case — both are
     // restricted to real hosts), so mismatch detection is a positional
@@ -369,25 +367,11 @@ pub fn verify_failure_equivalence(
         FailureScenario::single(Fault::RouterDown { router: r.clone() })
     }));
 
-    let anon_conv = engine.converged(&result.configs).ok();
     let fake_table = Arc::new(PairTable::from_baseline(&anon_base));
     let mut fake_list = DigestList::default();
-    match &anon_conv {
-        Some(conv) => {
-            let sweep = ScenarioSweep::with_table(engine, conv, &anon_base, Arc::clone(&fake_table))
-                .expect("table interned from this baseline always matches it");
-            sweep.run(fake_scenarios.iter(), &mut fake_list);
-        }
-        None => {
-            stream_scenarios(
-                &result.configs,
-                &anon_base,
-                &fake_table,
-                fake_scenarios.iter(),
-                &mut fake_list,
-            );
-        }
-    }
+    ScenarioSweep::with_table(engine, &anon_conv, &anon_base, Arc::clone(&fake_table))
+        .expect("table interned from this baseline always matches it")
+        .run(fake_scenarios.iter(), &mut fake_list);
     report.fake = fake_scenarios
         .iter()
         .zip(fake_list.results.iter())
@@ -418,7 +402,7 @@ pub fn verify_failure_equivalence(
 mod tests {
     use super::*;
     use crate::{anonymize, Params};
-    use confmask_netgen::smallnets::example_network;
+    use confmask_netgen::smallnets::{bad_gadget, example_network};
 
     #[test]
     fn example_network_degrades_equivalently() {
@@ -456,5 +440,17 @@ mod tests {
             "fake-router scenarios must be present"
         );
         assert!(report.holds(), "violations: {:#?}", report.violations());
+    }
+
+    #[test]
+    fn unconverged_original_ends_the_sweep_naming_it() {
+        let net = example_network();
+        let result = anonymize(&net, &Params::new(3, 2)).unwrap();
+        let report = verify_failure_equivalence(&bad_gadget(), &result, 1, 0);
+        assert!(!report.holds());
+        let err = report.baseline_error.as_deref().expect("baseline error");
+        assert!(err.starts_with("original network failed to simulate"), "{err}");
+        assert_eq!(report.violations(), vec![err.to_string()]);
+        assert_eq!(report.scenario_count(), 0);
     }
 }

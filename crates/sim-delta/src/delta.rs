@@ -206,23 +206,15 @@ pub(crate) fn simulate_delta(
     match diff_configs(&base.configs, perturbed) {
         ConfigDiff::Identical => Ok((base.sim.clone(), DeltaStats::identical())),
         ConfigDiff::Unsupported => full_fallback(perturbed),
-        ConfigDiff::Shutdowns => simulate_delta_shutdowns(base, perturbed),
+        ConfigDiff::Shutdowns => {
+            let plan = plan_shutdowns(base, perturbed)?;
+            materialize_or_fallback(base, perturbed, plan)
+        }
         ConfigDiff::FilterEdits { routers } => {
             let plan = plan_filter_edits(base, perturbed, &routers)?;
             materialize_or_fallback(base, perturbed, plan)
         }
     }
-}
-
-/// [`simulate_delta`] for a perturbation the caller has itself produced by
-/// applying shutdowns to the base configs (the scenario runner): the
-/// config-diff walk is skipped because its answer is known by construction.
-pub(crate) fn simulate_delta_shutdowns(
-    base: &ConvergedSim,
-    perturbed: &NetworkConfigs,
-) -> Result<(Simulation, DeltaStats), SimError> {
-    let plan = plan_shutdowns(base, perturbed)?;
-    materialize_or_fallback(base, perturbed, plan)
 }
 
 /// Materializes a plan, or runs cold when a defensive invariant check

@@ -197,10 +197,10 @@ impl<'a> ScenarioSweep<'a> {
         Arc::clone(&self.table)
     }
 
-    /// Folds one scenario into its digest, reusing the worker's scratch
-    /// configs (same apply/revert discipline as
-    /// [`DeltaEngine::run_scenario_scratch`]). Byte-identical to folding
-    /// the cold `run_scenario` outcome through
+    /// Folds one scenario into its digest, flipping shutdown flags on the
+    /// worker's scratch copy of the base configs and reverting them
+    /// afterwards instead of cloning the configs per scenario.
+    /// Byte-identical to folding the cold `run_scenario` outcome through
     /// [`ScenarioDigest::from_outcome`] with this sweep's table.
     pub fn digest(
         &self,
@@ -369,16 +369,6 @@ impl<'a> ScenarioSweep<'a> {
         );
         meter.finish()
     }
-
-    /// The most severe class in a single ad-hoc scenario (convenience for
-    /// callers that probe one compound failure).
-    pub fn worst_of(
-        &self,
-        scenario: &FailureScenario,
-        scratch: &mut ScenarioScratch,
-    ) -> Result<DegradationClass, SimError> {
-        self.digest(scenario, scratch).map(|d| d.worst)
-    }
 }
 
 #[cfg(test)]
@@ -448,6 +438,28 @@ mod tests {
             );
             assert_eq!(warm, cold, "{sc}");
             assert_eq!(warm.encode(), cold.encode(), "{sc}");
+        }
+    }
+
+    #[test]
+    fn cold_fallback_digests_match_cold_folds() {
+        // `force_cold` routes every scenario through `digest_cold`, the
+        // fallback a declined delta plan takes: it must classify exactly
+        // as the cold oracle does.
+        let engine = DeltaEngine::new(4);
+        let cfgs = triangle();
+        let base = engine.converged(&cfgs).unwrap();
+        let mut sweep = engine.sweep(&base, &base.sim.dataplane);
+        sweep.force_cold = true;
+        let mut scratch = ScenarioScratch::default();
+        for sc in scenarios(&cfgs) {
+            let cold_path = sweep.digest(&sc, &mut scratch).unwrap();
+            let oracle = ScenarioDigest::from_outcome(
+                &run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap(),
+                &sweep.table(),
+            );
+            assert_eq!(cold_path, oracle, "{sc}");
+            assert_eq!(cold_path.encode(), oracle.encode(), "{sc}");
         }
     }
 

@@ -13,14 +13,16 @@
 //! classes — and the caller's [`SweepReducer`] folds digests in scenario
 //! order while the simulations behind them are already freed.
 //!
-//! [`stream_scenarios`] is the cold (full re-simulation) driver; the warm
-//! incremental driver lives in `confmask-sim-delta` and produces
+//! The one sweep driver is `ScenarioSweep` in `confmask-sim-delta`, which
+//! classifies incrementally. Folding the cold [`run_scenario`] outcome
+//! through [`ScenarioDigest::from_outcome`] is its oracle: the two produce
 //! byte-identical digests (gated by `tests/delta_diff.rs`).
+//!
+//! [`run_scenario`]: crate::fault::run_scenario
 
 use crate::dataplane::{DataPlane, PairBits};
 use crate::error::SimError;
-use crate::fault::{run_scenario, DegradationClass, FailureScenario, ScenarioOutcome};
-use confmask_config::NetworkConfigs;
+use crate::fault::{DegradationClass, ScenarioOutcome};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -338,10 +340,10 @@ pub struct SweepStats {
     pub wall: Duration,
 }
 
-/// Shared `sim.sweep.*` instrumentation for streaming drivers (cold here,
-/// warm in `confmask-sim-delta`): scenario/error counters plus live- and
-/// peak-memory gauges, updated per streaming window rather than per
-/// scenario so metrics cost nothing on multi-thousand-scenario sweeps.
+/// `sim.sweep.*` instrumentation for the streaming sweep driver
+/// (`ScenarioSweep` in `confmask-sim-delta`): scenario/error counters plus
+/// live- and peak-memory gauges, updated per streaming window rather than
+/// per scenario so metrics cost nothing on multi-thousand-scenario sweeps.
 #[derive(Debug)]
 pub struct SweepMeter {
     window: usize,
@@ -439,47 +441,6 @@ pub fn register_metrics() {
     confmask_obs::gauge_set("sim.sweep.peak_retained_outcomes", 0.0);
 }
 
-/// The cold streaming driver: runs every scenario through the full
-/// re-simulating [`run_scenario`], folds each outcome into a digest
-/// against `table`, and feeds the reducer in scenario order. Workers fan
-/// out over the shared executor in bounded windows, so at most one
-/// window's worth of outcomes is ever live — the swept sequence itself is
-/// consumed lazily and never materialized.
-///
-/// `table` must be built from (or equal to) `baseline`'s pair set; pairs
-/// of `baseline` absent from `table` are ignored and table pairs absent
-/// from `baseline` classify as `Unchanged`.
-pub fn stream_scenarios<B: std::borrow::Borrow<FailureScenario> + Sync>(
-    configs: &NetworkConfigs,
-    baseline: &DataPlane,
-    table: &PairTable,
-    scenarios: impl IntoIterator<Item = B>,
-    reducer: &mut dyn SweepReducer,
-) -> SweepStats {
-    let window = (confmask_exec::thread_count() * 8).clamp(16, 256);
-    let mut meter = SweepMeter::new(window);
-    confmask_exec::par_stream_init(
-        scenarios,
-        window,
-        || (),
-        |_, _, sc: &B| {
-            let sc = sc.borrow();
-            run_scenario(configs, baseline, sc).map(|o| ScenarioDigest::from_outcome(&o, table))
-        },
-        |i, r| match r {
-            Ok(d) => {
-                meter.fold_ok(i, d.retained_bytes());
-                reducer.fold(i, d);
-            }
-            Err(e) => {
-                meter.fold_err(i);
-                reducer.fold_err(i, e);
-            }
-        },
-    );
-    meter.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,45 +531,16 @@ mod tests {
     }
 
     #[test]
-    fn stream_scenarios_matches_per_scenario_runs() {
-        let cfgs = triangle();
-        let baseline = simulate(&cfgs).unwrap().dataplane;
-        let table = PairTable::from_baseline(&baseline);
-        let scenarios = enumerate_single_link_failures(&cfgs);
-        let mut list = DigestList::default();
-        let stats = stream_scenarios(
-            &cfgs,
-            &baseline,
-            &table,
-            scenarios.iter(),
-            &mut list,
-        );
-        assert_eq!(stats.scenarios, scenarios.len());
-        assert_eq!(stats.errors, 0);
-        assert!(stats.peak_digest_bytes > 0);
-        assert!(stats.peak_retained >= 1);
-        assert_eq!(list.results.len(), scenarios.len());
-        for (sc, got) in scenarios.iter().zip(&list.results) {
-            let want =
-                ScenarioDigest::from_outcome(&run_scenario(&cfgs, &baseline, sc).unwrap(), &table);
-            assert_eq!(got.as_ref().unwrap(), &want, "{sc}");
-        }
-    }
-
-    #[test]
     fn sweep_summary_aggregates() {
         let cfgs = triangle();
         let baseline = simulate(&cfgs).unwrap().dataplane;
         let table = PairTable::from_baseline(&baseline);
         let scenarios = enumerate_single_link_failures(&cfgs);
         let mut sum = SweepSummary::default();
-        stream_scenarios(
-            &cfgs,
-            &baseline,
-            &table,
-            scenarios.iter(),
-            &mut sum,
-        );
+        for (i, sc) in scenarios.iter().enumerate() {
+            let out = run_scenario(&cfgs, &baseline, sc).unwrap();
+            sum.fold(i, ScenarioDigest::from_outcome(&out, &table));
+        }
         assert_eq!(sum.scenarios, 3);
         assert_eq!(sum.errors, 0);
         // r1–r2 down reroutes both directions; the other two links carry
