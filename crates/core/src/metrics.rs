@@ -2,7 +2,7 @@
 //! topology anonymity `k_d`, topology utility (clustering coefficient), and
 //! configuration utility `U_C`.
 
-use confmask_sim::DataPlane;
+use confmask_sim::{DataPlane, IdMap};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Route-anonymity statistics: distinct routing paths per (ingress router,
@@ -33,27 +33,34 @@ impl RouteAnonymity {
 /// all host-to-host paths between them (Definition 3.2's `p ∼ p'`
 /// equivalence groups paths by ingress and egress router).
 pub fn route_anonymity(dp: &DataPlane) -> RouteAnonymity {
-    let mut groups: BTreeMap<(String, String), BTreeSet<Vec<String>>> = BTreeMap::new();
-    for (_pair, ps) in dp.pairs() {
-        for path in &ps.paths {
-            if path.len() < 3 {
+    // Grouped by router id (ids are unique per name, so distinct id
+    // sequences are distinct router sequences); names only for the keys.
+    let mut groups: BTreeMap<(u32, u32), BTreeSet<&[u32]>> = BTreeMap::new();
+    for ps in dp.pairs() {
+        for routers in ps.arena().paths() {
+            let (Some(&first), Some(&last)) = (routers.first(), routers.last()) else {
                 continue; // same-LAN delivery has no routers
-            }
-            let routers = path[1..path.len() - 1].to_vec();
-            let key = (
-                routers.first().expect("non-empty").clone(),
-                routers.last().expect("non-empty").clone(),
-            );
-            groups.entry(key).or_default().insert(routers);
+            };
+            groups.entry((first, last)).or_default().insert(routers);
         }
     }
+    let names = dp.names();
     RouteAnonymity {
-        per_pair: groups.into_iter().map(|(k, v)| (k, v.len())).collect(),
+        per_pair: groups
+            .into_iter()
+            .map(|((a, b), v)| {
+                (
+                    (names.router(a).to_owned(), names.router(b).to_owned()),
+                    v.len(),
+                )
+            })
+            .collect(),
     }
 }
 
 /// Route utility `P_U` (Figure 8): the fraction of host pairs whose path
 /// sets are *exactly* preserved. Pairs are restricted to `real_hosts`.
+/// Router ids are translated between the two planes once.
 pub fn path_preservation(
     original: &DataPlane,
     anonymized: &DataPlane,
@@ -63,9 +70,14 @@ pub fn path_preservation(
     if orig.is_empty() {
         return 1.0;
     }
+    let map = IdMap::new(orig.names(), anonymized.names());
     let kept = orig
         .pairs()
-        .filter(|(pair, ps)| anonymized.between(&pair.0, &pair.1) == Some(*ps))
+        .filter(|ps| {
+            anonymized
+                .between(ps.src(), ps.dst())
+                .is_some_and(|anon| ps.arena().eq_mapped(&map, anon.arena()))
+        })
         .count();
     kept as f64 / orig.len() as f64
 }
@@ -82,26 +94,17 @@ pub fn config_utility(total_lines: usize, added_lines: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use confmask_sim::PathSet;
 
     fn path(nodes: &[&str]) -> Vec<String> {
         nodes.iter().map(|s| s.to_string()).collect()
     }
 
     fn dp(entries: &[(&str, &str, Vec<Vec<String>>)]) -> DataPlane {
-        let mut dp = DataPlane::default();
-        for (s, d, paths) in entries {
-            dp.insert(
-                s.to_string(),
-                d.to_string(),
-                PathSet {
-                    paths: paths.clone(),
-                    blackhole: false,
-                    has_loop: false,
-                },
-            );
-        }
-        dp
+        DataPlane::from_names(
+            entries
+                .iter()
+                .map(|(s, d, paths)| (s.to_string(), d.to_string(), paths.clone(), false, false)),
+        )
     }
 
     #[test]
@@ -138,6 +141,70 @@ mod tests {
             ("h2", "h1", vec![path(&["h2", "r2", "r1", "h1"])]),       // kept
         ]);
         assert!((path_preservation(&orig, &half, &hosts) - 0.5).abs() < 1e-12);
+    }
+
+    /// Name-level reference for [`path_preservation`]: the fraction of
+    /// real pairs whose rendered name paths and flags are equal.
+    fn preserved_by_name(orig: &DataPlane, anon: &DataPlane, hosts: &BTreeSet<String>) -> f64 {
+        let orig = orig.restricted_to(hosts);
+        let kept = orig
+            .pairs()
+            .filter(|ps| {
+                anon.between(ps.src(), ps.dst()).is_some_and(|a| {
+                    a.to_names() == ps.to_names()
+                        && (a.blackhole(), a.has_loop()) == (ps.blackhole(), ps.has_loop())
+                })
+            })
+            .count();
+        kept as f64 / orig.len() as f64
+    }
+
+    #[test]
+    fn cross_network_comparison_translates_shifted_router_ids() {
+        // Real routers m1 < m5; the anonymized plane adds fake routers that
+        // sort before (a0), between (m3) and after (z9) them, carried by a
+        // fake host's pair, so every real router's id shifts.
+        let real = [
+            ("h1", "h2", vec![path(&["h1", "m1", "m5", "h2"])]),
+            ("h2", "h1", vec![path(&["h2", "m5", "m1", "h1"])]),
+        ];
+        let orig = dp(&real);
+        let fake = (
+            "hz",
+            "h1",
+            vec![path(&["hz", "a0", "m3", "z9", "m1", "h1"])],
+        );
+        let anon = dp(&[real[0].clone(), real[1].clone(), fake.clone()]);
+        let (orig_names, anon_names) = (orig.names(), anon.names());
+        assert_eq!(orig_names.routers(), ["m1", "m5"]);
+        assert_eq!(anon_names.routers(), ["a0", "m1", "m3", "m5", "z9"]);
+
+        let hosts: BTreeSet<String> = ["h1".to_string(), "h2".to_string()].into();
+        assert!(anon.equivalent_on(&orig, &hosts));
+        assert!(orig.equivalent_on(&anon, &hosts));
+        assert_eq!(path_preservation(&orig, &anon, &hosts), 1.0);
+        assert_eq!(preserved_by_name(&orig, &anon, &hosts), 1.0);
+
+        // One hop changed: h1→h2 now detours through the fake m3.
+        let changed = dp(&[
+            ("h1", "h2", vec![path(&["h1", "m1", "m3", "m5", "h2"])]),
+            real[1].clone(),
+            fake,
+        ]);
+        assert!(!changed.equivalent_on(&orig, &hosts));
+        assert!(!orig.equivalent_on(&changed, &hosts));
+        assert_eq!(path_preservation(&orig, &changed, &hosts), 0.5);
+        assert_eq!(preserved_by_name(&orig, &changed, &hosts), 0.5);
+        let (o, c) = (
+            orig.between("h1", "h2").unwrap(),
+            changed.between("h1", "h2").unwrap(),
+        );
+        assert_ne!(o, c);
+        assert_eq!(o == c, o.to_names() == c.to_names());
+        assert_eq!(
+            orig.between("h2", "h1").unwrap(),
+            changed.between("h2", "h1").unwrap()
+        );
     }
 
     #[test]

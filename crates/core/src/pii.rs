@@ -303,17 +303,28 @@ mod tests {
 
         // Translate the original data plane through the name map and
         // compare exactly.
-        let rename = |n: &String| report.name_map.get(n).cloned().unwrap_or_else(|| n.clone());
-        let mut translated = confmask_sim::DataPlane::default();
-        for ((s, d), ps) in before.dataplane.pairs() {
-            let mut ps = ps.clone();
-            for p in ps.paths.iter_mut() {
-                for node in p.iter_mut() {
-                    *node = rename(node);
-                }
-            }
-            translated.insert(rename(s), rename(d), ps);
-        }
+        let rename = |n: &str| {
+            report
+                .name_map
+                .get(n)
+                .cloned()
+                .unwrap_or_else(|| n.to_string())
+        };
+        let rows = before.dataplane.pairs().map(|ps| {
+            let paths = ps
+                .to_names()
+                .iter()
+                .map(|p| p.iter().map(|n| rename(n)).collect())
+                .collect();
+            (
+                rename(ps.src()),
+                rename(ps.dst()),
+                paths,
+                ps.blackhole(),
+                ps.has_loop(),
+            )
+        });
+        let translated = confmask_sim::DataPlane::from_names(rows);
         assert_eq!(translated, after.dataplane);
     }
 

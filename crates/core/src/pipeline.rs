@@ -389,12 +389,14 @@ fn run_attempt(
     // `verify_failure_equivalence` sweep (or a repeat job on the same
     // output) reuses this converged state for delta recomputation.
     let final_sim = DeltaEngine::global().converged(&anon_configs)?.sim.clone();
+    let eq_sp = confmask_obs::span("core.verify.equivalence");
     let equivalence = check_equivalence(
         configs,
         &baseline.sim.dataplane,
         &anon_configs,
         &final_sim.dataplane,
     );
+    eq_sp.finish();
     check_deadline("verify", sp.finish(), deadline)?;
 
     if !equivalence.holds() {

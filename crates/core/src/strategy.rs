@@ -24,7 +24,7 @@ use crate::pipeline::{anonymize, Anonymized};
 use confmask_config::patch::{LineLedger, Patcher};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::PrefixAllocator;
-use confmask_sim::DataPlane;
+use confmask_sim::{DataPlane, IdMap};
 use confmask_topology::extract::extract_topology;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -154,6 +154,7 @@ impl AnonymizedNetwork {
     /// Fraction of real host pairs whose exact path set is kept
     /// (the Figure 8 metric, computable for any strategy).
     pub fn kept_path_ratio(&self) -> f64 {
+        let map = IdMap::new(self.baseline_dataplane.names(), self.dataplane.names());
         let mut total = 0usize;
         let mut kept = 0usize;
         for s in &self.real_hosts {
@@ -161,12 +162,12 @@ impl AnonymizedNetwork {
                 if s == d {
                     continue;
                 }
-                let before = self.baseline_dataplane.between(s, d);
-                if before.is_none() {
+                let Some(before) = self.baseline_dataplane.between(s, d) else {
                     continue;
-                }
+                };
                 total += 1;
-                if self.dataplane.between(s, d).map(|p| &p.paths) == before.map(|p| &p.paths) {
+                let after = self.dataplane.between(s, d);
+                if after.is_some_and(|a| before.arena().paths_eq_mapped(&map, a.arena())) {
                     kept += 1;
                 }
             }

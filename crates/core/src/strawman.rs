@@ -101,7 +101,8 @@ pub fn strawman2(
         out.sim_calls += 1;
 
         let mut changes = 0;
-        for ((src, dst), new_ps) in sim.dataplane.pairs() {
+        for new_ps in sim.dataplane.pairs() {
+            let (src, dst) = (new_ps.src(), new_ps.dst());
             if !base.real_hosts.contains(src) || !base.real_hosts.contains(dst) {
                 continue;
             }
@@ -113,8 +114,10 @@ pub fn strawman2(
             if new_ps == orig_ps {
                 continue;
             }
-            // First new path that is not an original path.
-            let Some(bad) = new_ps.paths.iter().find(|p| !orig_ps.paths.contains(p)) else {
+            // First new path that is not an original path (by name: the
+            // two networks number their routers differently).
+            let (new_paths, orig_paths) = (new_ps.to_names(), orig_ps.to_names());
+            let Some(bad) = new_paths.iter().find(|p| !orig_paths.contains(p)) else {
                 continue; // paths lost rather than added: upstream fix pending
             };
             let dst_prefix = sim
@@ -127,7 +130,7 @@ pub fn strawman2(
             // pair's correct routing. (The paper's description assumes the
             // first wrong hop is that hop; when the divergence merely
             // *transits* an original link, the real culprit is upstream.)
-            let start = first_wrong_hop_index(bad, &orig_ps.paths);
+            let start = first_wrong_hop_index(bad, &orig_paths);
             for i in (1..=start).rev() {
                 let (r_i, r_next) = (&bad[i], &bad[i + 1]);
                 if sim.net.router_id(r_next).is_none() {

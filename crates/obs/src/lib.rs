@@ -53,7 +53,9 @@ mod span;
 mod trace;
 
 pub use event::{event_records, set_verbosity, verbosity, EventRecord, Level};
-pub use metrics::{counter_add, gauge_set, histogram_register, observe, HistogramSummary};
+pub use metrics::{
+    counter_add, gauge_set, histogram_register, observe, observe_all, HistogramSummary,
+};
 pub use report::Report;
 pub use span::{capture, record_span, span, FinishedSpan, Span};
 pub use trace::{release_trace, retain_trace, trace_known, trace_spans, SpanContext, TraceId};

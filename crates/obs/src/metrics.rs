@@ -173,6 +173,20 @@ pub fn observe(name: &'static str, value: u64) {
     reg.histograms.entry(name).or_default().record(value);
 }
 
+/// Records every value of `values` into the histogram `name` under one
+/// registry lock — [`observe`] for a batch (one value per data-plane
+/// pair, say) without a lock round trip per value.
+pub fn observe_all(name: &'static str, values: impl IntoIterator<Item = u64>) {
+    if !crate::enabled() {
+        return;
+    }
+    let mut reg = REGISTRY.lock().expect("metrics registry poisoned");
+    let h = reg.histograms.entry(name).or_default();
+    for v in values {
+        h.record(v);
+    }
+}
+
 pub(crate) fn counters_snapshot() -> Vec<(String, u64)> {
     let reg = REGISTRY.lock().expect("metrics registry poisoned");
     reg.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect()

@@ -2,7 +2,7 @@
 //! and enabled switch are process-global, so every test touching them
 //! serializes on [`lock`] and resets state up front.
 
-use confmask_obs::{capture, counter_add, observe, report, span, Report};
+use confmask_obs::{capture, counter_add, observe, observe_all, report, span, Report};
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -153,6 +153,25 @@ fn single_valued_histogram_has_flat_percentiles() {
     // every percentile exact.
     assert_eq!((h.p50, h.p90, h.p99), (42, 42, 42));
     assert_eq!(h.mean(), 42.0);
+}
+
+#[test]
+fn batched_observations_match_single_ones() {
+    let _g = lock();
+    let values = [0u64, 1, 2, 3, 4, 7, 8, 1000];
+    for v in values {
+        observe("test.hist.single", v);
+    }
+    observe_all("test.hist.batch", values);
+    let r = report();
+    let (a, b) = (
+        r.histogram("test.hist.single").unwrap(),
+        r.histogram("test.hist.batch").unwrap(),
+    );
+    assert_eq!(
+        (a.count, a.sum, a.min, a.max, a.p50, a.p90, a.p99),
+        (b.count, b.sum, b.min, b.max, b.p50, b.p90, b.p99)
+    );
 }
 
 #[test]

@@ -96,12 +96,18 @@ impl SimCache {
 
     /// Inserts a converged simulation, evicting the least-recently-used
     /// entry of its shard when that shard is at capacity.
+    ///
+    /// The evicted (or same-key replaced) simulation is dropped only after
+    /// the shard lock is released: freeing a large converged simulation
+    /// takes long enough that workers probing the shard would otherwise
+    /// queue behind it.
     pub fn insert(&self, value: Arc<ConvergedSim>) {
         let key = value.key;
-        {
+        let (evicted, replaced) = {
             let mut shard = self.shard(key).lock().expect("sim cache poisoned");
             shard.tick += 1;
             let tick = shard.tick;
+            let mut evicted = None;
             if !shard.map.contains_key(&key) && shard.map.len() >= shard.capacity {
                 if let Some(oldest) = shard
                     .map
@@ -109,18 +115,20 @@ impl SimCache {
                     .min_by_key(|(_, e)| e.last_used)
                     .map(|(k, _)| *k)
                 {
-                    shard.map.remove(&oldest);
+                    evicted = shard.map.remove(&oldest);
                     confmask_obs::counter_add("sim.cache.evictions", 1);
                 }
             }
-            shard.map.insert(
+            let replaced = shard.map.insert(
                 key,
                 Entry {
                     value,
                     last_used: tick,
                 },
             );
-        }
+            (evicted, replaced)
+        };
+        drop((evicted, replaced));
         confmask_obs::gauge_set("sim.cache.entries", self.len() as f64);
     }
 
@@ -135,5 +143,49 @@ impl SimCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DeltaEngine;
+    use confmask_netgen::smallnets::example_network;
+    use std::sync::Weak;
+
+    #[test]
+    fn insert_releases_the_evicted_entry_and_keeps_lru_order() {
+        let configs = example_network();
+        let proto = (*DeltaEngine::new(1).converged(&configs).unwrap()).clone();
+        let sim = |key: u128| {
+            Arc::new(ConvergedSim {
+                key,
+                ..proto.clone()
+            })
+        };
+        // Capacity 2 keeps one shard: exact LRU over both entries.
+        let cache = SimCache::new(2);
+        let (a, b) = (sim(1), sim(2));
+        let (weak_a, weak_b): (Weak<ConvergedSim>, _) = (Arc::downgrade(&a), Arc::downgrade(&b));
+        cache.insert(a);
+        cache.insert(b);
+        assert!(cache.get(1, &configs).is_some(), "a is now most recent");
+
+        // The shard is full: inserting c evicts b, the LRU entry, and the
+        // cache held its only reference.
+        cache.insert(sim(3));
+        assert!(weak_b.upgrade().is_none(), "evicted entry released");
+        assert!(weak_a.upgrade().is_some());
+        assert_eq!(cache.len(), 2);
+
+        // Re-inserting key 3 replaces c and releases the old value; a is
+        // still the older entry, so the next insert evicts it.
+        let weak_c = Arc::downgrade(&cache.get(3, &configs).unwrap());
+        cache.insert(sim(3));
+        assert!(weak_c.upgrade().is_none(), "replaced entry released");
+        cache.insert(sim(4));
+        assert!(weak_a.upgrade().is_none(), "a was least recently used");
+        assert!(cache.get(3, &configs).is_some() && cache.get(4, &configs).is_some());
+        assert!(cache.get(1, &configs).is_none() && cache.get(2, &configs).is_none());
     }
 }

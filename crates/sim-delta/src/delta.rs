@@ -45,7 +45,7 @@
 //! * **Data plane** — the trace DFS consults exactly one FIB entry per
 //!   visited router: the longest-prefix match for the *destination host's*
 //!   address. The reuse criterion is therefore per (router, destination):
-//!   a pair reuses its cached [`PathSet`] when its endpoints' attachments
+//!   a pair reuses its cached path arena when its endpoints' attachments
 //!   survived and, for its destination, no reachable router resolves that
 //!   address differently (modulo interface renumbering). When *no* router's
 //!   lookup for the destination changed, the entire DFS — blackholes,
@@ -53,12 +53,12 @@
 //!   cached set is reused unconditionally. Otherwise only clean,
 //!   non-truncated pairs are reusable (their recorded paths are exactly the
 //!   routers the walk visits) and only when every on-path router's lookup
-//!   is unchanged. Reuse shares the cached set by [`Arc`] — no copying.
+//!   is unchanged. Reuse shares the cached arena by `Arc` — no copying.
 
 use crate::{record_stats, ConvergedSim, DeltaStats};
 use confmask_config::{BgpConfig, NetworkConfigs, OspfConfig, RipConfig, RouterConfig};
 use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
-use confmask_sim::dataplane::trace;
+use confmask_sim::dataplane::{trace_into, PathArena};
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
     bgp, merge_prefix, merge_router_fib, ospf, rip, simulate, BgpRoutes, ControlState, FibEntry,
@@ -218,14 +218,14 @@ pub(crate) fn simulate_delta(
 }
 
 /// Materializes a plan, or runs cold when a defensive invariant check
-/// failed while planning or materializing (never guess).
+/// failed while planning (never guess).
 fn materialize_or_fallback(
     base: &ConvergedSim,
     perturbed: &NetworkConfigs,
     plan: Option<DeltaPlan>,
 ) -> Result<(Simulation, DeltaStats), SimError> {
-    match plan.and_then(|plan| materialize(base, plan)) {
-        Some(out) => Ok(out),
+    match plan {
+        Some(plan) => Ok(materialize(base, plan)),
         None => full_fallback(perturbed),
     }
 }
@@ -571,7 +571,7 @@ pub(crate) fn plan_shutdowns(
         .map(|row| row.iter().all(|&c| !c))
         .collect();
 
-    if !dataplane_covers_pairs(base, hosts.len()) {
+    if !dataplane_covers_pairs(base, &new_net) {
         return Ok(None);
     }
     // Per host: whether its attachment survived the perturbation, and
@@ -602,12 +602,19 @@ pub(crate) fn plan_shutdowns(
     }))
 }
 
-/// Whether the cached data plane covers exactly the ordered pairs of
-/// `hosts` hosts, with pair metadata for each; anything else means the
-/// base simulation predates an invariant change.
-fn dataplane_covers_pairs(base: &ConvergedSim, hosts: usize) -> bool {
-    base.sim.dataplane.len() == hosts * hosts.saturating_sub(1)
-        && base.pair_meta.len() == base.sim.dataplane.len()
+/// Whether the cached data plane holds exactly the ordered pairs of
+/// `net`'s hosts in host-id order, with pair metadata for each — so pair
+/// position `i` is the `i`-th `(si, di)` of the plan's host enumeration.
+/// Anything else means the base simulation predates an invariant change.
+pub(crate) fn dataplane_covers_pairs(base: &ConvergedSim, net: &SimNetwork) -> bool {
+    let dp = &base.sim.dataplane;
+    dp.is_complete()
+        && base.pair_meta.len() == dp.len()
+        && dp.names().hosts().len() == net.hosts.len()
+        && net
+            .hosts_iter()
+            .zip(dp.names().hosts())
+            .all(|((_, h), name)| h.name == *name)
 }
 
 /// Builds the [`DeltaPlan`] for a filter-edit perturbation of `routers`:
@@ -632,7 +639,7 @@ pub(crate) fn plan_filter_edits(
     let mut state = base.state.clone();
     let changed = refilter(&new_net, &affected, &mut fibs, &mut state)?;
     let hosts: Vec<HostId> = new_net.hosts_iter().map(|(id, _)| id).collect();
-    if !dataplane_covers_pairs(base, hosts.len()) {
+    if !dataplane_covers_pairs(base, &new_net) {
         return Ok(None);
     }
     // lookup_changed[d][r]: only entries whose prefix contains host d's
@@ -953,14 +960,13 @@ impl ControlPlane {
 }
 
 /// Materializes a [`DeltaPlan`] into the full perturbed [`Simulation`].
-/// Returns `None` when the cached data plane's key order disagrees with
-/// the host enumeration (defensive; the caller falls back to a cold run).
 ///
 /// Starts from the cached data plane (an O(pairs) clone of shared path
-/// sets) and overwrites only the pairs that must be re-traced. Host ids
-/// and data-plane keys share the same (hostname-sorted) order, so the
-/// cached stream zips against the ordered-pair enumeration — the name
-/// checks keep this exact.
+/// arenas) and overwrites only the pairs that must be re-traced. Host ids
+/// and data-plane pairs share the same (hostname-sorted) order — planning
+/// checked it ([`dataplane_covers_pairs`]) — so the pair position is the
+/// running index of the ordered-pair enumeration, and router ids are the
+/// base's (shutdowns and filter edits keep every router).
 ///
 /// Pair reuse soundness ([`DeltaPlan::pair_reusable`], in check order):
 /// * endpoint attachments must have survived (the trace consults them
@@ -974,41 +980,32 @@ impl ControlPlane {
 ///   lookups of exactly the routers on their recorded paths
 ///   (`pair_meta`, precomputed at convergence), and reuse requires all
 ///   of those lookups unchanged.
-pub(crate) fn materialize(
-    base: &ConvergedSim,
-    plan: DeltaPlan,
-) -> Option<(Simulation, DeltaStats)> {
+pub(crate) fn materialize(base: &ConvergedSim, plan: DeltaPlan) -> (Simulation, DeltaStats) {
     let mut dp = base.sim.dataplane.clone();
-    let mut pairs_total = 0usize;
+    let mut arena = PathArena::default();
+    let mut idx = 0usize;
     let mut pairs_recomputed = 0usize;
-    let mut cached_pairs = base.sim.dataplane.pairs();
     for (si, &src) in plan.hosts.iter().enumerate() {
-        let src_name = &plan.new_net.host(src).name;
         for (di, &dst) in plan.hosts.iter().enumerate() {
             if si == di {
                 continue;
             }
-            let idx = pairs_total;
-            pairs_total += 1;
-            let ((sname, dname), _ps) = cached_pairs.next()?;
-            if sname != src_name || dname != &plan.new_net.host(dst).name {
-                return None;
-            }
             if !plan.pair_reusable(base, si, di, idx) {
                 pairs_recomputed += 1;
-                let traced = trace(&plan.new_net, &plan.fibs, src, dst);
-                dp.insert(sname.clone(), dname.clone(), traced);
+                trace_into(&plan.new_net, &plan.fibs, src, dst, &mut arena);
+                dp.set_paths(idx, arena.compacted());
             }
+            idx += 1;
         }
     }
 
-    let stats = plan.stats(pairs_total, pairs_recomputed);
+    let stats = plan.stats(idx, pairs_recomputed);
     let sim = Simulation {
         net: plan.new_net,
         fibs: plan.fibs,
         dataplane: dp,
     };
-    Some((sim, stats))
+    (sim, stats)
 }
 
 /// Whether the cached IGP router-path matrix equals the fresh one after

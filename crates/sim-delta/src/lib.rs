@@ -43,7 +43,6 @@ use confmask_config::NetworkConfigs;
 use confmask_net_types::{Ipv4Prefix, RouterId};
 use confmask_sim::dataplane::DataPlane;
 use confmask_sim::{ControlState, SimError, Simulation};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -70,11 +69,11 @@ pub struct ConvergedSim {
     /// perturbation changed without re-running longest-prefix matches.
     pub host_match: Vec<Vec<Option<Ipv4Prefix>>>,
     /// Per data-plane pair (in [`DataPlane::pairs`] order): the deduped
-    /// router ids its recorded paths traverse, or `None` for a walk whose
-    /// shape the recorded paths do not fully determine (blackholed,
-    /// looping, empty, or ECMP-truncated). Precomputed so delta runs test
-    /// pair reusability against a bool mask instead of re-walking path
-    /// name lists.
+    /// router ids its recorded paths traverse — read straight off the
+    /// pair's id spans — or `None` for a walk whose shape the recorded
+    /// paths do not fully determine (blackholed, looping, empty, or
+    /// ECMP-truncated). Precomputed so delta runs test pair reusability
+    /// against a bool mask instead of re-walking paths.
     pub(crate) pair_meta: Vec<Option<Vec<u32>>>,
     /// Process-unique id, the identity key of a sweep worker's
     /// [`ScenarioScratch`] (never reused, unlike a structural hash).
@@ -188,6 +187,7 @@ impl DeltaEngine {
             return Ok(hit);
         }
         let (sim, state) = confmask_sim::simulate_with_state(configs)?;
+        let sp = confmask_obs::span("sim.delta.index");
         let host_match = sim
             .net
             .hosts_iter()
@@ -202,39 +202,37 @@ impl DeltaEngine {
                     .collect()
             })
             .collect();
-        let name_to_id: BTreeMap<&str, u32> = sim
-            .net
-            .routers
-            .iter()
-            .enumerate()
-            .map(|(r, router)| (router.name.as_str(), r as u32))
-            .collect();
+        // One reused router bitset: mark every hop, then drain the set
+        // bits in ascending id order (sorted and deduplicated for free).
+        let mut seen = vec![0u64; sim.net.router_count().div_ceil(64)];
         let pair_meta = sim
             .dataplane
             .pairs()
-            .map(|(_, ps)| {
-                if ps.blackhole
-                    || ps.has_loop
-                    || ps.paths.is_empty()
-                    || ps.paths.len() >= confmask_sim::dataplane::MAX_PATHS_PER_PAIR
+            .map(|ps| {
+                let arena = ps.arena();
+                if !arena.clean()
+                    || arena.path_count() >= confmask_sim::dataplane::MAX_PATHS_PER_PAIR
                 {
                     return None;
                 }
+                for &r in arena.paths().flatten() {
+                    seen[r as usize / 64] |= 1 << (r % 64);
+                }
                 let mut on_path = Vec::new();
-                for path in &ps.paths {
-                    // path = [src_host, r_1, ..., r_k, dst_host]
-                    for name in &path[1..path.len().saturating_sub(1)] {
-                        on_path.push(*name_to_id.get(name.as_str())?);
+                for (wi, w) in seen.iter_mut().enumerate() {
+                    while *w != 0 {
+                        on_path.push(wi as u32 * 64 + w.trailing_zeros());
+                        *w &= *w - 1;
                     }
                 }
-                on_path.sort_unstable();
-                on_path.dedup();
                 Some(on_path)
             })
             .collect();
+        let configs = configs.clone();
+        sp.finish();
         let converged = Arc::new(ConvergedSim {
             key,
-            configs: configs.clone(),
+            configs,
             sim,
             state,
             host_match,

@@ -7,14 +7,14 @@
 //! per-pair straight off the [`delta::DeltaPlan`]:
 //!
 //! * a **reusable** pair (same predicate the materializing path uses —
-//!   [`delta::DeltaPlan::pair_reusable`]) whose baseline path set
-//!   equals the base's classifies as `Unchanged` without touching a path;
+//!   [`delta::DeltaPlan::pair_reusable`]) whose baseline paths equal the
+//!   base's classifies as `Unchanged` without touching a path;
 //! * a reusable pair whose sweep baseline *differs* from the base (a
 //!   masked-network sweep compared against the original's baseline)
-//!   classifies the cached base path set against the sweep baseline;
-//! * a **non-reusable** pair re-traces in id space into a reused
-//!   [`PathArena`] and compares against the baseline allocation-free
-//!   ([`PathArena::matches`]) — no `PathSet` is ever built.
+//!   classifies the cached base paths against the sweep baseline;
+//! * a **non-reusable** pair re-traces into a reused [`PathArena`] and
+//!   compares id spans against the baseline, which was translated into
+//!   the base's router ids once, when the sweep was built.
 //!
 //! The result is byte-identical to folding the cold
 //! [`confmask_sim::fault::run_scenario`] outcome through
@@ -27,35 +27,34 @@
 use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats, ScenarioScratch};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::HostId;
-use confmask_sim::dataplane::{trace_into, DataPlane, PathArena};
+use confmask_sim::dataplane::{trace_into, DataPlane, IdMap, PathArena};
 use confmask_sim::fault::{
-    classify_pair, classify_pair_with, physical_components, revert_shutdowns, DegradationClass,
-    FailureScenario,
+    classify_pair, physical_components, revert_shutdowns, DegradationClass, FailureScenario,
 };
 use confmask_sim::sweep::{PairTable, ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
-use confmask_sim::{PathSet, SimError};
+use confmask_sim::SimError;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One baseline pair's precomputed binding to the base simulation: where
 /// it sits in the base data plane, its endpoints' host ids, and whether
-/// the sweep's baseline path set equals the base's (computed once, so the
-/// per-scenario fold never deep-compares paths for reused pairs).
+/// the sweep's baseline paths equal the base's (computed once, so the
+/// per-scenario fold never compares paths for reused pairs).
 struct PairBinding {
     /// Source host id (index into the plan's host order).
     si: u32,
     /// Destination host id.
     di: u32,
-    /// Index of this pair in the base data plane's key order (and thus
-    /// into `pair_meta`); `u32::MAX` when the base lacks the pair.
+    /// Position of this pair in the base data plane (and thus in
+    /// `pair_meta`); `u32::MAX` when the base lacks the pair.
     base_idx: u32,
-    /// Whether `baseline` equals the base's path set for this pair.
+    /// Whether `baseline` equals the base's paths for this pair.
     same_as_base: bool,
-    /// The sweep baseline's path set (what digests classify against).
-    baseline: Arc<PathSet>,
-    /// The base simulation's path set (what a reused pair yields).
-    base_ps: Option<Arc<PathSet>>,
+    /// The sweep baseline's paths (what digests classify against), in the
+    /// base's router ids; a router the base lacks reads
+    /// [`confmask_sim::dataplane::UNMAPPED`].
+    baseline: Arc<PathArena>,
 }
 
 /// A streaming fault sweep over one cached baseline.
@@ -103,8 +102,8 @@ impl<'a> ScenarioSweep<'a> {
         if table.len() != baseline.len() {
             return None;
         }
-        for (i, ((s, d), _)) in baseline.pairs().enumerate() {
-            if table.pair(i) != (s.as_str(), d.as_str()) {
+        for (i, ps) in baseline.pairs().enumerate() {
+            if table.pair(i) != (ps.src(), ps.dst()) {
                 return None;
             }
         }
@@ -118,70 +117,40 @@ impl<'a> ScenarioSweep<'a> {
 
         // The plan's pair indices assume the base data plane enumerates
         // exactly the ordered host pairs in host order — the invariant
-        // `delta::materialize` re-zips per scenario; verify it once here.
-        let mut force_cold = false;
-        {
-            let names: Vec<&str> = base
-                .sim
-                .net
-                .hosts_iter()
-                .map(|(_, h)| h.name.as_str())
-                .collect();
-            let mut cached = base.sim.dataplane.pairs();
-            'check: for s in &names {
-                for d in &names {
-                    if s == d {
-                        continue;
-                    }
-                    match cached.next() {
-                        Some(((ks, kd), _)) if ks == s && kd == d => {}
-                        _ => {
-                            force_cold = true;
-                            break 'check;
-                        }
-                    }
-                }
-            }
-            if !force_cold && cached.next().is_some() {
-                force_cold = true;
-            }
-        }
+        // delta planning checks per scenario; check it once here.
+        let force_cold = !delta::dataplane_covers_pairs(base, &base.sim.net);
 
-        // Merge-join the baseline against the base data plane (both are
-        // name-sorted; the baseline is normally a restriction of it).
-        let mut base_pairs = base.sim.dataplane.shared_pairs().enumerate().peekable();
-        let mut binding = Vec::with_capacity(baseline.len());
-        for ((s, d), ps) in baseline.shared_pairs() {
-            while let Some((_, (k, _))) = base_pairs.peek() {
-                if (&k.0, &k.1) < (s, d) {
-                    base_pairs.next();
+        // Translate the baseline into the base's ids once (the identity
+        // when both come from the same network).
+        let base_dp = &base.sim.dataplane;
+        let map = IdMap::new(baseline.names(), base_dp.names());
+        let binding = baseline
+            .pairs()
+            .map(|ps| {
+                let (s, d) = (ps.src(), ps.dst());
+                let endpoints = host_id.get(s).zip(host_id.get(d));
+                let base_idx = endpoints
+                    .and(base_dp.index_of(s, d))
+                    .map_or(u32::MAX, |i| i as u32);
+                let (si, di) = endpoints.map_or((u32::MAX, u32::MAX), |(&a, &b)| (a, b));
+                let baseline = if map.is_identity() {
+                    Arc::clone(ps.shared())
                 } else {
-                    break;
+                    Arc::new(ps.arena().mapped(&map))
+                };
+                let same_as_base = base_idx != u32::MAX && {
+                    let base_ps = base_dp.pair(base_idx as usize).shared();
+                    Arc::ptr_eq(&baseline, base_ps) || *baseline == **base_ps
+                };
+                PairBinding {
+                    si,
+                    di,
+                    base_idx,
+                    same_as_base,
+                    baseline,
                 }
-            }
-            let (mut base_idx, base_ps, same_as_base) = match base_pairs.peek() {
-                Some((idx, (k, bp))) if (&k.0, &k.1) == (s, d) => {
-                    let same = Arc::ptr_eq(ps, bp) || **ps == ***bp;
-                    (*idx as u32, Some(Arc::clone(bp)), same)
-                }
-                _ => (u32::MAX, None, false),
-            };
-            let (si, di) = match (host_id.get(s.as_str()), host_id.get(d.as_str())) {
-                (Some(&a), Some(&b)) => (a, b),
-                _ => (u32::MAX, u32::MAX),
-            };
-            if si == u32::MAX || di == u32::MAX {
-                base_idx = u32::MAX;
-            }
-            binding.push(PairBinding {
-                si,
-                di,
-                base_idx,
-                same_as_base: same_as_base && base_idx != u32::MAX,
-                baseline: Arc::clone(ps),
-                base_ps,
-            });
-        }
+            })
+            .collect();
 
         Some(ScenarioSweep {
             _engine: engine,
@@ -244,10 +213,9 @@ impl<'a> ScenarioSweep<'a> {
         Ok(digest)
     }
 
-    /// Classifies every bound pair against the plan. Replicates
-    /// `classify_pair_with`'s decision order exactly for re-traced pairs
-    /// (equality, loop, dropped, rerouted) so the digest matches the
-    /// materializing path bit for bit.
+    /// Classifies every bound pair against the plan through the same
+    /// [`classify_pair`] the cold oracle uses, so the digest matches it
+    /// bit for bit.
     fn digest_plan(
         &self,
         failed: &NetworkConfigs,
@@ -263,10 +231,7 @@ impl<'a> ScenarioSweep<'a> {
                 _ => false,
             }
         };
-        let empty = PathSet {
-            blackhole: true,
-            ..PathSet::default()
-        };
+        let dropped = PathArena::dropped();
         let mut arena = PathArena::default();
         let mut digest = ScenarioDigest::new(self.table.len());
         let mut recomputed = 0usize;
@@ -276,15 +241,19 @@ impl<'a> ScenarioSweep<'a> {
                 // The base simulation lacks this pair: the perturbed data
                 // plane cannot contain it either (delta runs start from
                 // the base's pair set), so it reads as dropped.
-                classify_pair_with(&b.baseline, &empty, || connected(src, dst))
-            } else if plan.pair_reusable(self.base, b.si as usize, b.di as usize, b.base_idx as usize)
-            {
+                classify_pair(*b.baseline == dropped, &dropped, || connected(src, dst))
+            } else if plan.pair_reusable(
+                self.base,
+                b.si as usize,
+                b.di as usize,
+                b.base_idx as usize,
+            ) {
                 if b.same_as_base {
                     // Reused ⇒ post-failure == base == this baseline.
                     DegradationClass::Unchanged
                 } else {
-                    let after = b.base_ps.as_ref().expect("present pair has a base path set");
-                    classify_pair_with(&b.baseline, after, || connected(src, dst))
+                    let after = self.base.sim.dataplane.pair(b.base_idx as usize).arena();
+                    classify_pair(false, after, || connected(src, dst))
                 }
             } else {
                 recomputed += 1;
@@ -295,19 +264,7 @@ impl<'a> ScenarioSweep<'a> {
                     HostId(b.di),
                     &mut arena,
                 );
-                if arena.matches(&plan.new_net, &b.baseline) {
-                    DegradationClass::Unchanged
-                } else if arena.has_loop {
-                    DegradationClass::Looping
-                } else if arena.path_count() == 0 || arena.blackhole {
-                    if connected(src, dst) {
-                        DegradationClass::BlackHoled
-                    } else {
-                        DegradationClass::Partitioned
-                    }
-                } else {
-                    DegradationClass::Rerouted
-                }
+                classify_pair(arena == *b.baseline, &arena, || connected(src, dst))
             };
             digest.record(i, class);
         }
@@ -319,19 +276,21 @@ impl<'a> ScenarioSweep<'a> {
     fn digest_cold(&self, failed: &NetworkConfigs) -> Result<ScenarioDigest, SimError> {
         let sim = confmask_sim::simulate(failed)?;
         let comp = physical_components(failed);
-        let empty = PathSet {
-            blackhole: true,
-            ..PathSet::default()
-        };
+        let map = IdMap::new(self.base.sim.dataplane.names(), sim.dataplane.names());
+        let dropped = PathArena::dropped();
         let mut digest = ScenarioDigest::new(self.table.len());
         for (i, b) in self.binding.iter().enumerate() {
             let (src, dst) = self.table.pair(i);
-            let after = sim.dataplane.between(src, dst).unwrap_or(&empty);
+            let after = sim
+                .dataplane
+                .between(src, dst)
+                .map_or(&dropped, |ps| ps.arena());
             let connected = match (comp.get(src), comp.get(dst)) {
                 (Some(a), Some(b)) => a == b,
                 _ => false,
             };
-            digest.record(i, classify_pair(&b.baseline, after, connected));
+            let unchanged = b.baseline.eq_mapped(&map, after);
+            digest.record(i, classify_pair(unchanged, after, || connected));
         }
         Ok(digest)
     }

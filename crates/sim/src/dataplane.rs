@@ -6,6 +6,13 @@
 //! `(h_s, r_1, …, r_n, h_d)`. Paths are enumerated by walking FIBs with
 //! ECMP branching, which is exactly what Batfish's traceroute question does
 //! for the original prototype.
+//!
+//! A [`DataPlane`] stores each pair's paths as router-id spans
+//! ([`PathArena`]) over one shared [`NameTable`]; device names are
+//! resolved only at the edges ([`PairPaths::to_names`], violation
+//! messages, synthetic planes built with [`DataPlane::from_names`]).
+//! Comparing two planes of one network is span equality; comparing two
+//! networks translates ids once through an [`IdMap`].
 
 use crate::error::SimError;
 use crate::fib::{Fibs, NextHop};
@@ -90,159 +97,147 @@ impl PairBits {
     }
 }
 
-/// The forwarding behaviour between one (src, dst) host pair.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PathSet {
-    /// Complete forwarding paths, each `[h_s, r_1, …, r_n, h_d]` by device
-    /// name, sorted and deduplicated.
-    pub paths: Vec<Vec<String>>,
-    /// Some branch dropped traffic (no FIB entry / undeliverable).
-    pub blackhole: bool,
-    /// Some branch entered a forwarding loop.
-    pub has_loop: bool,
-}
-
-impl PathSet {
-    /// Fully reachable: at least one path and no anomalous branch.
-    pub fn clean(&self) -> bool {
-        !self.paths.is_empty() && !self.blackhole && !self.has_loop
-    }
-}
-
-/// All host-to-host forwarding paths (the paper's `DP`).
+/// The device names a data plane's ids refer to: routers indexed by
+/// [`RouterId`], hosts in ascending name order.
 ///
-/// Path sets are stored behind [`Arc`] so that cloning a data plane — or
-/// splicing unaffected pairs from a cached one into an incremental result —
-/// shares the (potentially large) path vectors instead of deep-copying
-/// them. Equality stays structural: two data planes compare equal iff their
-/// pairs and path sets do, shared or not.
+/// One table is shared (behind an [`Arc`]) by a data plane and every
+/// restriction or clone of it, so paths are stored as router ids and names
+/// are resolved only where a caller asks for them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DataPlane {
-    pairs: BTreeMap<(String, String), Arc<PathSet>>,
+pub struct NameTable {
+    routers: Vec<String>,
+    hosts: Vec<String>,
 }
 
-impl DataPlane {
-    /// The path set between two hosts (by name).
-    pub fn between(&self, src: &str, dst: &str) -> Option<&PathSet> {
-        self.shared_between(src, dst).map(|ps| ps.as_ref())
+impl NameTable {
+    /// A table over `routers` (index = router id) and `hosts`, which must
+    /// be strictly ascending: pair order and name order coincide only then
+    /// (configurations key hosts by hostname, so they always are).
+    pub fn new(routers: Vec<String>, hosts: Vec<String>) -> NameTable {
+        debug_assert!(
+            hosts.windows(2).all(|w| w[0] < w[1]),
+            "host names must be unique and sorted"
+        );
+        NameTable { routers, hosts }
     }
 
-    /// The shared handle for a pair — lets callers reuse a path set in
-    /// another data plane for the cost of a reference-count bump.
-    pub fn shared_between(&self, src: &str, dst: &str) -> Option<&Arc<PathSet>> {
-        self.pairs.get(&(src.to_string(), dst.to_string()))
+    /// The name of router `id`.
+    pub fn router(&self, id: u32) -> &str {
+        &self.routers[id as usize]
     }
 
-    /// Iterates over every `((src, dst), paths)` pair.
-    pub fn pairs(&self) -> impl Iterator<Item = (&(String, String), &PathSet)> {
-        self.pairs.iter().map(|(k, v)| (k, v.as_ref()))
+    /// The name of host index `i`.
+    pub fn host(&self, i: u32) -> &str {
+        &self.hosts[i as usize]
     }
 
-    /// Like [`DataPlane::pairs`], exposing the shared handles: two data
-    /// planes that reuse a path set (the incremental engine's Arc sharing)
-    /// yield pointer-equal handles, so a comparer can skip the deep path
-    /// comparison for them.
-    pub fn shared_pairs(&self) -> impl Iterator<Item = (&(String, String), &Arc<PathSet>)> {
-        self.pairs.iter()
+    /// Router names, by router id.
+    pub fn routers(&self) -> &[String] {
+        &self.routers
     }
 
-    /// Number of host pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
+    /// Host names, ascending (index = host index).
+    pub fn hosts(&self) -> &[String] {
+        &self.hosts
     }
 
-    /// True when no pairs exist.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+    /// The index of a host by name.
+    pub fn host_index(&self, name: &str) -> Option<u32> {
+        self.hosts
+            .binary_search_by(|h| h.as_str().cmp(name))
+            .ok()
+            .map(|i| i as u32)
     }
+}
 
-    /// The data plane restricted to pairs whose endpoints are both in
-    /// `hosts` — used to compare an anonymized network with the original on
-    /// the *real* hosts only (fake hosts are outside the equivalence
-    /// mapping, Appendix A).
-    pub fn restricted_to(&self, hosts: &BTreeSet<String>) -> DataPlane {
-        DataPlane {
-            pairs: self
-                .pairs
+/// Marks a router or host with no counterpart in the target table of an
+/// [`IdMap`].
+pub const UNMAPPED: u32 = u32::MAX;
+
+/// Router- and host-id translation from one [`NameTable`] into another:
+/// the one step a cross-network comparison (original vs anonymized data
+/// plane) pays before comparing paths as ids.
+///
+/// Both tables order routers by name (`RouterId`s follow lexicographic
+/// hostname order) and hosts by name, so the translation is strictly
+/// increasing on its domain: a canonically sorted arena stays sorted after
+/// translation, and positional comparison of translated ids agrees with
+/// positional comparison of the names they stand for.
+#[derive(Debug, Clone)]
+pub struct IdMap {
+    routers: Vec<u32>,
+    hosts: Vec<u32>,
+    identity: bool,
+}
+
+impl IdMap {
+    /// The translation from `from`'s ids into `to`'s.
+    pub fn new(from: &NameTable, to: &NameTable) -> IdMap {
+        if std::ptr::eq(from, to) || from == to {
+            return IdMap {
+                routers: Vec::new(),
+                hosts: Vec::new(),
+                identity: true,
+            };
+        }
+        let index = |names: &[String], target: &[String]| -> Vec<u32> {
+            let by_name: BTreeMap<&str, u32> = target
                 .iter()
-                .filter(|((s, d), _)| hosts.contains(s) && hosts.contains(d))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
+                .enumerate()
+                .map(|(i, n)| (n.as_str(), i as u32))
+                .collect();
+            names
+                .iter()
+                .map(|n| by_name.get(n.as_str()).copied().unwrap_or(UNMAPPED))
+                .collect()
+        };
+        IdMap {
+            routers: index(&from.routers, &to.routers),
+            hosts: index(&from.hosts, &to.hosts),
+            identity: false,
         }
     }
 
-    /// Exact route equivalence on a host subset: identical path sets for
-    /// every pair (Definition 3.3's *route equivalence*).
-    pub fn equivalent_on(&self, other: &DataPlane, hosts: &BTreeSet<String>) -> bool {
-        self.restricted_to(hosts) == other.restricted_to(hosts)
+    /// Both tables are equal: every id maps to itself.
+    pub fn is_identity(&self) -> bool {
+        self.identity
     }
 
-    /// Inserts a pair (used by the extractor and tests).
-    pub fn insert(&mut self, src: String, dst: String, paths: PathSet) {
-        self.insert_shared(src, dst, Arc::new(paths));
-    }
-
-    /// Inserts an already-shared path set without copying it.
-    pub fn insert_shared(&mut self, src: String, dst: String, paths: Arc<PathSet>) {
-        self.pairs.insert((src, dst), paths);
-    }
-}
-
-/// Extracts the complete data plane: every ordered host pair.
-///
-/// Host pairs are independent, so tracing fans out pair-by-pair over the
-/// shared executor (dynamic chunk claiming — the dominant cost of repeated
-/// simulation in the anonymization pipeline, §5.4). Host names are
-/// resolved once into an indexed table instead of `net.host(id).name`
-/// lookups inside the hot pair loop, and the table is name-sorted so the
-/// traced rows come out already in key order and the map bulk-builds from
-/// a sorted sequence instead of rebalancing per insert. Results merge by
-/// pair index, so the data plane is byte-identical at any worker count.
-///
-/// A panic inside one trace is contained: every sibling worker is still
-/// joined and the first payload surfaces as [`SimError::TracePanic`]
-/// instead of aborting the process.
-pub fn extract_dataplane(net: &SimNetwork, fibs: &Fibs) -> Result<DataPlane, SimError> {
-    let mut hosts: Vec<HostId> = net.hosts_iter().map(|(id, _)| id).collect();
-    hosts.sort_by(|a, b| net.host(*a).name.cmp(&net.host(*b).name));
-    let names: Vec<Arc<str>> = hosts
-        .iter()
-        .map(|&id| Arc::from(net.host(id).name.as_str()))
-        .collect();
-    // Ordered pairs in (src, dst) index order == (src, dst) name order.
-    let mut pair_ids: Vec<(usize, usize)> = Vec::with_capacity(hosts.len() * hosts.len());
-    for s in 0..hosts.len() {
-        for d in 0..hosts.len() {
-            if s != d {
-                pair_ids.push((s, d));
-            }
+    /// The target id of router `r` ([`UNMAPPED`] when absent, or when
+    /// `r` is itself [`UNMAPPED`]).
+    pub fn router(&self, r: u32) -> u32 {
+        if self.identity {
+            r
+        } else {
+            self.routers.get(r as usize).copied().unwrap_or(UNMAPPED)
         }
     }
 
-    let traced = confmask_exec::try_par_map(&pair_ids, |&(s, d)| {
-        trace(net, fibs, hosts[s], hosts[d])
-    })
-    .map_err(|p| SimError::TracePanic(p.message()))?;
-
-    let rows = pair_ids
-        .iter()
-        .zip(traced)
-        .map(|(&(s, d), ps)| ((names[s].to_string(), names[d].to_string()), Arc::new(ps)));
-    Ok(DataPlane {
-        pairs: BTreeMap::from_iter(rows),
-    })
+    /// The target index of host `h` ([`UNMAPPED`] when absent).
+    pub fn host(&self, h: u32) -> u32 {
+        if self.identity {
+            h
+        } else {
+            self.hosts[h as usize]
+        }
+    }
 }
 
-/// An arena-backed path set over router *ids*: every enumerated path is a
-/// span into one flat hop vector, so tracing a pair allocates nothing past
-/// the first reuse and classifying the result never clones a device name.
+/// One pair's forwarding paths over router *ids*: every path is a span
+/// into one flat hop vector, so tracing a pair allocates nothing past the
+/// first reuse and comparing two pairs of the same network is slice
+/// equality.
 ///
 /// `RouterId`s are assigned in lexicographic hostname order
-/// ([`SimNetwork::build`]), so sorting id sequences orders spans exactly as
-/// [`trace`] orders its name paths — a materialized arena is byte-identical
-/// to the `PathSet` the name-level tracer would have produced. A span of
-/// length zero is the same-LAN direct path (`[h_s, h_d]`, no routers).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// ([`SimNetwork::build`]), so [`trace_into`]'s id-sorted spans are also
+/// name-sorted. A span of length zero is the same-LAN direct path
+/// (`[h_s, h_d]`, no routers). Host endpoints are not stored: the data
+/// plane keys each arena by its pair.
+///
+/// Equality is logical — flags plus the sequence of paths — whatever the
+/// hop vector's layout; [`PathArena::compacted`] gives the canonical
+/// layout a [`DataPlane`] stores.
+#[derive(Debug, Clone, Default)]
 pub struct PathArena {
     /// Flat hop storage: router ids of every span, back to back.
     hops: Vec<u32>,
@@ -254,7 +249,26 @@ pub struct PathArena {
     pub has_loop: bool,
 }
 
+impl PartialEq for PathArena {
+    fn eq(&self, other: &PathArena) -> bool {
+        self.blackhole == other.blackhole
+            && self.has_loop == other.has_loop
+            && self.spans.len() == other.spans.len()
+            && self.paths().zip(other.paths()).all(|(a, b)| a == b)
+    }
+}
+
+impl Eq for PathArena {}
+
 impl PathArena {
+    /// The behaviour of a pair missing from a data plane: dropped, no path.
+    pub fn dropped() -> PathArena {
+        PathArena {
+            blackhole: true,
+            ..PathArena::default()
+        }
+    }
+
     /// Resets the arena for the next pair, keeping the allocations.
     pub fn clear(&mut self) {
         self.hops.clear();
@@ -268,81 +282,436 @@ impl PathArena {
         self.spans.len()
     }
 
-    /// Fully reachable: at least one path and no anomalous branch
-    /// (mirror of [`PathSet::clean`]).
+    /// Fully reachable: at least one path and no anomalous branch.
     pub fn clean(&self) -> bool {
         !self.spans.is_empty() && !self.blackhole && !self.has_loop
     }
 
     /// Iterates the paths as router-id slices (host endpoints excluded).
-    pub fn paths(&self) -> impl Iterator<Item = &[u32]> {
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = &[u32]> {
         self.spans
             .iter()
             .map(|&(start, len)| &self.hops[start as usize..(start + len) as usize])
     }
 
-    fn push_walk(&mut self, walk: &[RouterId]) {
-        let start = self.hops.len() as u32;
-        self.hops.extend(walk.iter().map(|r| r.0));
-        self.spans.push((start, walk.len() as u32));
+    /// The same paths and flags with the hops packed in span order and no
+    /// spare capacity — the canonical layout a data plane stores.
+    pub fn compacted(&self) -> PathArena {
+        let mut out = PathArena {
+            hops: Vec::with_capacity(self.paths().map(<[u32]>::len).sum()),
+            spans: Vec::with_capacity(self.spans.len()),
+            blackhole: self.blackhole,
+            has_loop: self.has_loop,
+        };
+        for p in self.paths() {
+            out.push_ids(p.iter().copied());
+        }
+        out
     }
 
-    /// Sorts spans by hop sequence and drops duplicates — the id-level
-    /// equivalent of the `sort` + `dedup` the name tracer applies.
+    /// Whether translating this arena's router ids through `map` yields
+    /// exactly `other` (flags and paths, in order).
+    pub fn eq_mapped(&self, map: &IdMap, other: &PathArena) -> bool {
+        self.blackhole == other.blackhole
+            && self.has_loop == other.has_loop
+            && self.paths_eq_mapped(map, other)
+    }
+
+    /// Like [`PathArena::eq_mapped`], comparing the paths only.
+    pub fn paths_eq_mapped(&self, map: &IdMap, other: &PathArena) -> bool {
+        self.spans.len() == other.spans.len()
+            && self.paths().zip(other.paths()).all(|(a, b)| {
+                if map.is_identity() {
+                    return a == b;
+                }
+                a.len() == b.len()
+                    && a.iter().zip(b).all(|(&x, &y)| {
+                        let x = map.router(x);
+                        x != UNMAPPED && x == y
+                    })
+            })
+    }
+
+    /// This arena with every router id translated through `map`; a router
+    /// the target table lacks becomes [`UNMAPPED`], which no traced path
+    /// contains.
+    pub fn mapped(&self, map: &IdMap) -> PathArena {
+        let mut out = PathArena {
+            blackhole: self.blackhole,
+            has_loop: self.has_loop,
+            ..PathArena::default()
+        };
+        for p in self.paths() {
+            out.push_ids(p.iter().map(|&r| map.router(r)));
+        }
+        out
+    }
+
+    fn push_ids(&mut self, ids: impl Iterator<Item = u32>) {
+        let start = self.hops.len() as u32;
+        self.hops.extend(ids);
+        self.spans.push((start, self.hops.len() as u32 - start));
+    }
+
+    /// Sorts spans by hop sequence and drops duplicates.
     fn sort_dedup(&mut self) {
         let PathArena { hops, spans, .. } = self;
         let seg = |&(start, len): &(u32, u32)| &hops[start as usize..(start + len) as usize];
         spans.sort_by(|a, b| seg(a).cmp(seg(b)));
         spans.dedup_by(|a, b| seg(a) == seg(b));
     }
+}
 
-    /// Materializes the arena into a name-level [`PathSet`] with the given
-    /// host endpoints.
-    pub fn materialize(&self, net: &SimNetwork, src_name: &str, dst_name: &str) -> PathSet {
-        let mut paths = Vec::with_capacity(self.spans.len());
-        for hops in self.paths() {
-            let mut p = Vec::with_capacity(hops.len() + 2);
-            p.push(src_name.to_string());
-            p.extend(hops.iter().map(|&r| net.router(RouterId(r)).name.clone()));
-            p.push(dst_name.to_string());
-            paths.push(p);
-        }
-        PathSet {
-            paths,
-            blackhole: self.blackhole,
-            has_loop: self.has_loop,
-        }
+/// One host pair of a [`DataPlane`], read through the plane's name table:
+/// the id-level [`PathArena`] plus name resolution for the edges
+/// (traceroute output, violation messages, mined policies).
+#[derive(Clone, Copy)]
+pub struct PairPaths<'a> {
+    names: &'a NameTable,
+    src: u32,
+    dst: u32,
+    paths: &'a Arc<PathArena>,
+}
+
+impl<'a> PairPaths<'a> {
+    /// Source host name.
+    pub fn src(&self) -> &'a str {
+        self.names.host(self.src)
     }
 
-    /// Allocation-free equality against a name-level path set: true iff
-    /// [`PathArena::materialize`] would compare equal to `ps`. Host
-    /// endpoints are equal by construction (the caller traced the same
-    /// pair), so only flags and interior router names are compared.
-    pub fn matches(&self, net: &SimNetwork, ps: &PathSet) -> bool {
-        if self.blackhole != ps.blackhole
-            || self.has_loop != ps.has_loop
-            || self.spans.len() != ps.paths.len()
-        {
+    /// Destination host name.
+    pub fn dst(&self) -> &'a str {
+        self.names.host(self.dst)
+    }
+
+    /// The id-level paths.
+    pub fn arena(&self) -> &'a PathArena {
+        self.paths
+    }
+
+    /// The shared handle of the id-level paths.
+    pub fn shared(&self) -> &'a Arc<PathArena> {
+        self.paths
+    }
+
+    /// The name of router `id` of this pair's data plane.
+    pub fn router(&self, id: u32) -> &'a str {
+        self.names.router(id)
+    }
+
+    /// Number of paths.
+    pub fn path_count(&self) -> usize {
+        self.paths.path_count()
+    }
+
+    /// Some branch dropped traffic.
+    pub fn blackhole(&self) -> bool {
+        self.paths.blackhole
+    }
+
+    /// Some branch entered a forwarding loop.
+    pub fn has_loop(&self) -> bool {
+        self.paths.has_loop
+    }
+
+    /// Fully reachable: at least one path and no anomalous branch.
+    pub fn clean(&self) -> bool {
+        self.paths.clean()
+    }
+
+    /// Each path's interior routers, by name.
+    pub fn routers(&self) -> impl Iterator<Item = impl Iterator<Item = &'a str>> + 'a {
+        let names = self.names;
+        let arena: &'a PathArena = self.paths;
+        arena
+            .paths()
+            .map(move |p| p.iter().map(move |&r| names.router(r)))
+    }
+
+    /// The paths rendered as device-name sequences `[h_s, r_1, …, h_d]`.
+    pub fn to_names(&self) -> Vec<Vec<String>> {
+        self.routers()
+            .map(|routers| {
+                std::iter::once(self.src())
+                    .chain(routers)
+                    .chain(std::iter::once(self.dst()))
+                    .map(str::to_owned)
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Name-level equality: the same flags and, path by path, the same device
+/// names — what comparing [`PairPaths::to_names`] renderings would say,
+/// without rendering.
+impl PartialEq for PairPaths<'_> {
+    fn eq(&self, other: &PairPaths<'_>) -> bool {
+        let (a, b) = (self.arena(), other.arena());
+        a.blackhole == b.blackhole
+            && a.has_loop == b.has_loop
+            && a.path_count() == b.path_count()
+            && (a.path_count() == 0 || (self.src(), self.dst()) == (other.src(), other.dst()))
+            && self.routers().zip(other.routers()).all(|(x, y)| x.eq(y))
+    }
+}
+
+impl std::fmt::Debug for PairPaths<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PairPaths")
+            .field("src", &self.src())
+            .field("dst", &self.dst())
+            .field("paths", &self.to_names())
+            .field("blackhole", &self.blackhole())
+            .field("has_loop", &self.has_loop())
+            .finish()
+    }
+}
+
+/// One stored pair: host indices into the name table plus its paths.
+#[derive(Debug, Clone)]
+struct PairEntry {
+    src: u32,
+    dst: u32,
+    paths: Arc<PathArena>,
+}
+
+/// All host-to-host forwarding paths (the paper's `DP`), as router-id
+/// arenas keyed by host-index pairs over one shared [`NameTable`].
+///
+/// Pairs are kept in ascending `(src, dst)` index order, which is name
+/// order because the host table is sorted. Path arenas sit behind
+/// [`Arc`], so cloning a data plane — or splicing unaffected pairs from a
+/// cached one into an incremental result — shares them instead of
+/// copying. Equality is by name: two data planes compare equal iff they
+/// hold the same host pairs with the same device-name paths, whatever
+/// their tables' ids.
+#[derive(Debug, Clone, Default)]
+pub struct DataPlane {
+    names: Arc<NameTable>,
+    pairs: Vec<PairEntry>,
+}
+
+impl PartialEq for DataPlane {
+    fn eq(&self, other: &DataPlane) -> bool {
+        if self.pairs.len() != other.pairs.len() {
             return false;
         }
-        self.paths().zip(ps.paths.iter()).all(|(hops, path)| {
-            path.len() == hops.len() + 2
-                && hops
-                    .iter()
-                    .zip(path[1..].iter())
-                    .all(|(&r, name)| net.router(RouterId(r)).name == *name)
+        let map = IdMap::new(&self.names, &other.names);
+        // Host indices are name-ordered in both tables, so equal planes
+        // list their pairs in the same order.
+        self.pairs.iter().zip(&other.pairs).all(|(a, b)| {
+            map.host(a.src) == b.src
+                && map.host(a.dst) == b.dst
+                && ((map.is_identity() && Arc::ptr_eq(&a.paths, &b.paths))
+                    || a.paths.eq_mapped(&map, &b.paths))
         })
     }
 }
 
+impl Eq for DataPlane {}
+
+impl DataPlane {
+    /// The shared name table.
+    pub fn names(&self) -> &Arc<NameTable> {
+        &self.names
+    }
+
+    fn view<'a>(&'a self, e: &'a PairEntry) -> PairPaths<'a> {
+        PairPaths {
+            names: &self.names,
+            src: e.src,
+            dst: e.dst,
+            paths: &e.paths,
+        }
+    }
+
+    /// The position of the pair between two hosts (by name) in
+    /// [`DataPlane::pairs`] order.
+    pub fn index_of(&self, src: &str, dst: &str) -> Option<usize> {
+        let key = (self.names.host_index(src)?, self.names.host_index(dst)?);
+        self.pairs
+            .binary_search_by(|e| (e.src, e.dst).cmp(&key))
+            .ok()
+    }
+
+    /// The pair at position `i` of [`DataPlane::pairs`] order.
+    pub fn pair(&self, i: usize) -> PairPaths<'_> {
+        self.view(&self.pairs[i])
+    }
+
+    /// The paths between two hosts (by name).
+    pub fn between(&self, src: &str, dst: &str) -> Option<PairPaths<'_>> {
+        self.index_of(src, dst).map(|i| self.pair(i))
+    }
+
+    /// Iterates every pair in `(src, dst)` name order.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = PairPaths<'_>> {
+        self.pairs.iter().map(|e| self.view(e))
+    }
+
+    /// Number of host pairs.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// True when no pairs exist.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// Whether the plane holds exactly every ordered pair of distinct
+    /// hosts of its table, in order — as [`extract_dataplane`] builds it,
+    /// so pair `i` is the `i`-th pair of the host enumeration.
+    pub fn is_complete(&self) -> bool {
+        let n = self.names.hosts.len() as u32;
+        self.pairs.len() == (n as usize) * (n as usize).saturating_sub(1)
+            && (0..n)
+                .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+                .zip(&self.pairs)
+                .all(|(k, e)| k == (e.src, e.dst))
+    }
+
+    /// Replaces the paths of the pair at position `i` — the incremental
+    /// engine's splice of a re-traced pair into a cloned base plane.
+    pub fn set_paths(&mut self, i: usize, paths: PathArena) {
+        self.pairs[i].paths = Arc::new(paths);
+    }
+
+    /// The data plane restricted to pairs whose endpoints are both in
+    /// `hosts` — used to compare an anonymized network with the original on
+    /// the *real* hosts only (fake hosts are outside the equivalence
+    /// mapping, Appendix A). The name table and path arenas are shared.
+    pub fn restricted_to(&self, hosts: &BTreeSet<String>) -> DataPlane {
+        let keep: Vec<bool> = self.names.hosts.iter().map(|h| hosts.contains(h)).collect();
+        DataPlane {
+            names: Arc::clone(&self.names),
+            pairs: self
+                .pairs
+                .iter()
+                .filter(|e| keep[e.src as usize] && keep[e.dst as usize])
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Exact route equivalence on a host subset: identical path sets for
+    /// every pair (Definition 3.3's *route equivalence*).
+    pub fn equivalent_on(&self, other: &DataPlane, hosts: &BTreeSet<String>) -> bool {
+        self.restricted_to(hosts) == other.restricted_to(hosts)
+    }
+
+    /// Builds a data plane from device names — the edge form for planes
+    /// that are not traced (synthetic virtual topologies, tests). Each row
+    /// is `(src, dst, paths, blackhole, has_loop)` with every path given
+    /// as `[h_s, r_1, …, r_n, h_d]`; paths keep the given order. Router
+    /// ids are assigned in name order, as [`SimNetwork::build`] does.
+    pub fn from_names<S: AsRef<str>>(
+        rows: impl IntoIterator<Item = (S, S, Vec<Vec<S>>, bool, bool)>,
+    ) -> DataPlane {
+        let rows: Vec<_> = rows.into_iter().collect();
+        let mut hosts = BTreeSet::new();
+        let mut routers = BTreeSet::new();
+        for (s, d, paths, _, _) in &rows {
+            hosts.insert(s.as_ref());
+            hosts.insert(d.as_ref());
+            for p in paths {
+                let interior = p.get(1..p.len().saturating_sub(1)).unwrap_or(&[]);
+                routers.extend(interior.iter().map(S::as_ref));
+            }
+        }
+        let names = NameTable::new(
+            routers.iter().map(|r| r.to_string()).collect(),
+            hosts.iter().map(|h| h.to_string()).collect(),
+        );
+        let router_id: BTreeMap<&str, u32> = routers
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (*r, i as u32))
+            .collect();
+        let mut pairs: Vec<PairEntry> = rows
+            .iter()
+            .map(|(s, d, paths, blackhole, has_loop)| {
+                let mut arena = PathArena {
+                    blackhole: *blackhole,
+                    has_loop: *has_loop,
+                    ..PathArena::default()
+                };
+                for p in paths {
+                    let interior = p.get(1..p.len().saturating_sub(1)).unwrap_or(&[]);
+                    arena.push_ids(interior.iter().map(|r| router_id[r.as_ref()]));
+                }
+                PairEntry {
+                    src: names.host_index(s.as_ref()).expect("interned"),
+                    dst: names.host_index(d.as_ref()).expect("interned"),
+                    paths: Arc::new(arena),
+                }
+            })
+            .collect();
+        // A repeated pair keeps its last row, as a map insert would.
+        pairs.reverse();
+        pairs.sort_by_key(|e| (e.src, e.dst));
+        pairs.dedup_by_key(|e| (e.src, e.dst));
+        DataPlane {
+            names: Arc::new(names),
+            pairs,
+        }
+    }
+}
+
+/// Extracts the complete data plane: every ordered host pair.
+///
+/// Host pairs are independent, so tracing fans out source by source over
+/// the shared executor, each worker tracing into one reused scratch arena
+/// and keeping a compacted copy per pair. Hosts are name-sorted, so the
+/// traced rows come out already in pair order; results merge by source
+/// index, so the data plane is byte-identical at any worker count.
+///
+/// A panic inside one trace is contained: every sibling worker is still
+/// joined and the first payload surfaces as [`SimError::TracePanic`]
+/// instead of aborting the process.
+pub fn extract_dataplane(net: &SimNetwork, fibs: &Fibs) -> Result<DataPlane, SimError> {
+    let mut hosts: Vec<HostId> = net.hosts_iter().map(|(id, _)| id).collect();
+    hosts.sort_by(|a, b| net.host(*a).name.cmp(&net.host(*b).name));
+    let names = NameTable::new(
+        net.routers_iter().map(|(_, r)| r.name.clone()).collect(),
+        hosts.iter().map(|&h| net.host(h).name.clone()).collect(),
+    );
+    let srcs: Vec<u32> = (0..hosts.len() as u32).collect();
+    let rows = confmask_exec::try_par_map(&srcs, |&s| {
+        let mut scratch = PathArena::default();
+        let mut row = Vec::with_capacity(hosts.len().saturating_sub(1));
+        for d in 0..hosts.len() as u32 {
+            if d != s {
+                trace_into(
+                    net,
+                    fibs,
+                    hosts[s as usize],
+                    hosts[d as usize],
+                    &mut scratch,
+                );
+                row.push(PairEntry {
+                    src: s,
+                    dst: d,
+                    paths: Arc::new(scratch.compacted()),
+                });
+            }
+        }
+        row
+    })
+    .map_err(|p| SimError::TracePanic(p.message()))?;
+    Ok(DataPlane {
+        names: Arc::new(names),
+        pairs: rows.into_iter().flatten().collect(),
+    })
+}
+
 /// Traces all forwarding paths from `src` to `dst` (the paper's
-/// `traceroute(h_a, h_b)`).
-pub fn trace(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId) -> PathSet {
+/// `traceroute(h_a, h_b)`), as a compacted arena.
+pub fn trace(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId) -> PathArena {
     let mut arena = PathArena::default();
     trace_into(net, fibs, src, dst, &mut arena);
-    let src_node = net.host(src);
-    let dst_node = net.host(dst);
-    arena.materialize(net, &src_node.name, &dst_node.name)
+    arena.compacted()
 }
 
 /// Traces `src → dst` into a caller-owned arena — the allocation-free core
@@ -387,7 +756,7 @@ fn dfs(net: &SimNetwork, fibs: &Fibs, dst: HostId, walk: &mut Vec<RouterId>, out
                 // Delivery succeeds only if the destination host actually
                 // sits on this router+interface.
                 if dst_node.attachment == Some((cur, *iface)) {
-                    out.push_walk(walk);
+                    out.push_ids(walk.iter().map(|r| r.0));
                 } else {
                     out.blackhole = true;
                 }
@@ -475,7 +844,7 @@ mod tests {
         let ps = sim.dataplane.between("h1", "h2").unwrap();
         assert!(ps.clean());
         assert_eq!(
-            ps.paths,
+            ps.to_names(),
             vec![vec![
                 "h1".to_string(),
                 "r1".into(),
@@ -486,7 +855,7 @@ mod tests {
         // And the reverse direction.
         let ps = sim.dataplane.between("h2", "h1").unwrap();
         assert_eq!(
-            ps.paths,
+            ps.to_names(),
             vec![vec![
                 "h2".to_string(),
                 "r2".into(),
@@ -503,7 +872,7 @@ mod tests {
             .insert("h1b".into(), host("h1b", "10.1.1.101", "10.1.1.1"));
         let sim = simulate(&cfgs).unwrap();
         let ps = sim.dataplane.between("h1", "h1b").unwrap();
-        assert_eq!(ps.paths, vec![vec!["h1".to_string(), "h1b".into()]]);
+        assert_eq!(ps.to_names(), vec![vec!["h1".to_string(), "h1b".into()]]);
     }
 
     #[test]
@@ -514,8 +883,8 @@ mod tests {
         r2.ospf.as_mut().unwrap().networks[0].prefix = "10.0.0.0/31".parse().unwrap();
         let sim = simulate(&cfgs).unwrap();
         let ps = sim.dataplane.between("h1", "h2").unwrap();
-        assert!(ps.blackhole);
-        assert!(ps.paths.is_empty());
+        assert!(ps.blackhole());
+        assert_eq!(ps.path_count(), 0);
     }
 
     #[test]
@@ -523,7 +892,7 @@ mod tests {
         let mut cfgs = two_net();
         cfgs.hosts.get_mut("h1").unwrap().gateway = "10.1.1.9".parse().unwrap();
         let sim = simulate(&cfgs).unwrap();
-        assert!(sim.dataplane.between("h1", "h2").unwrap().blackhole);
+        assert!(sim.dataplane.between("h1", "h2").unwrap().blackhole());
     }
 
     #[test]
@@ -560,25 +929,54 @@ mod tests {
 
     #[test]
     fn arena_trace_matches_name_trace() {
+        // Each stored pair is its compacted trace, and renders to the
+        // name paths the trace's router ids stand for.
         let sim = simulate(&two_net()).unwrap();
+        assert!(sim.dataplane.is_complete());
         let mut arena = PathArena::default();
-        let ids: Vec<HostId> = sim.net.hosts_iter().map(|(id, _)| id).collect();
-        for &s in &ids {
-            for &d in &ids {
-                if s == d {
-                    continue;
-                }
-                trace_into(&sim.net, &sim.fibs, s, d, &mut arena);
-                let named = trace(&sim.net, &sim.fibs, s, d);
-                let (sn, dn) = (&sim.net.host(s).name, &sim.net.host(d).name);
-                assert_eq!(arena.materialize(&sim.net, sn, dn), named);
-                assert!(arena.matches(&sim.net, &named));
-                // And a perturbed path set must NOT match.
-                let mut other = named.clone();
-                other.blackhole = !other.blackhole;
-                assert!(!arena.matches(&sim.net, &other));
-            }
+        for ps in sim.dataplane.pairs() {
+            let s = sim.net.host_id(ps.src()).unwrap();
+            let d = sim.net.host_id(ps.dst()).unwrap();
+            trace_into(&sim.net, &sim.fibs, s, d, &mut arena);
+            assert_eq!(ps.arena(), &arena);
+            assert_eq!(ps.arena(), &trace(&sim.net, &sim.fibs, s, d));
+            let named: Vec<Vec<String>> = arena
+                .paths()
+                .map(|hops| {
+                    let mut p = vec![ps.src().to_string()];
+                    p.extend(
+                        hops.iter()
+                            .map(|&r| sim.net.router(RouterId(r)).name.clone()),
+                    );
+                    p.push(ps.dst().to_string());
+                    p
+                })
+                .collect();
+            assert_eq!(ps.to_names(), named);
+            // A flipped flag is a different path set.
+            let mut other = arena.clone();
+            other.blackhole = !other.blackhole;
+            assert_ne!(ps.arena(), &other);
         }
+    }
+
+    #[test]
+    fn arena_equality_ignores_hop_layout() {
+        // Same paths pushed in a different order, then sorted: the hop
+        // vectors differ, the arenas are equal and compact identically.
+        let mut a = PathArena::default();
+        a.push_ids([3, 1].into_iter());
+        a.push_ids([2].into_iter());
+        a.sort_dedup();
+        let mut b = PathArena::default();
+        b.push_ids([2].into_iter());
+        b.push_ids([3, 1].into_iter());
+        b.push_ids([2].into_iter());
+        b.sort_dedup();
+        assert_ne!(a.hops, b.hops);
+        assert_eq!(a, b);
+        assert_eq!(a.compacted().hops, b.compacted().hops);
+        assert_eq!(a.paths().collect::<Vec<_>>(), vec![&[2][..], &[3, 1][..]]);
     }
 
     #[test]
@@ -598,10 +996,7 @@ mod tests {
         trace_into(&sim.net, &sim.fibs, h1, h1b, &mut arena);
         assert_eq!(arena.path_count(), 1);
         assert_eq!(arena.paths().next().unwrap().len(), 0);
-        assert_eq!(
-            arena.materialize(&sim.net, "h1", "h1b").paths,
-            vec![vec!["h1".to_string(), "h1b".into()]]
-        );
+        assert_eq!(sim.dataplane.between("h1", "h1b").unwrap().arena(), &arena);
     }
 
     #[test]
@@ -612,5 +1007,31 @@ mod tests {
         let both: BTreeSet<String> = ["h1".to_string(), "h2".to_string()].into();
         assert_eq!(sim.dataplane.restricted_to(&both).len(), 2);
         assert!(sim.dataplane.equivalent_on(&sim.dataplane, &both));
+    }
+
+    #[test]
+    fn from_names_round_trips_a_traced_plane() {
+        let sim = simulate(&two_net()).unwrap();
+        let rows: Vec<_> = sim
+            .dataplane
+            .pairs()
+            .map(|ps| {
+                (
+                    ps.src().to_string(),
+                    ps.dst().to_string(),
+                    ps.to_names(),
+                    ps.blackhole(),
+                    ps.has_loop(),
+                )
+            })
+            .collect();
+        let rebuilt = DataPlane::from_names(rows);
+        // Both tables hold r1 and r2 in name order, so the ids coincide.
+        assert_eq!(rebuilt, sim.dataplane);
+        assert_eq!(sim.dataplane, rebuilt);
+        assert_eq!(
+            rebuilt.between("h1", "h2").unwrap(),
+            sim.dataplane.between("h1", "h2").unwrap()
+        );
     }
 }

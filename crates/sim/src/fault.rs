@@ -19,7 +19,7 @@
 //! topology) and compares the resulting data plane against a healthy
 //! baseline per host pair, yielding a [`DegradationClass`].
 
-use crate::dataplane::{DataPlane, PathSet};
+use crate::dataplane::{DataPlane, IdMap, PathArena};
 use crate::error::SimError;
 use crate::simulate;
 use confmask_config::NetworkConfigs;
@@ -476,35 +476,28 @@ impl std::fmt::Display for DegradationClass {
 }
 
 /// Classifies one host pair's post-failure behaviour against its healthy
-/// baseline. `physically_connected` reports whether the pair is still
-/// connected in the surviving physical topology and arbitrates
-/// [`DegradationClass::Partitioned`] vs [`DegradationClass::BlackHoled`].
-pub fn classify_pair(
-    before: &PathSet,
-    after: &PathSet,
-    physically_connected: bool,
-) -> DegradationClass {
-    classify_pair_with(before, after, || physically_connected)
-}
-
-/// [`classify_pair`] with the connectivity answer supplied lazily.
+/// baseline: `unchanged` says whether the post-failure paths `after`
+/// equal the baseline's, and `physically_connected` reports whether the
+/// pair is still connected in the surviving physical topology, which
+/// arbitrates [`DegradationClass::Partitioned`] vs
+/// [`DegradationClass::BlackHoled`].
 ///
-/// Physical connectivity only arbitrates dropped traffic (blackhole vs
-/// partition), so most pairs never consult it; callers that compute
-/// component maps on demand (the incremental engine) pass a closure and
-/// skip the flood fill whenever no pair drops traffic.
-pub fn classify_pair_with(
-    before: &PathSet,
-    after: &PathSet,
+/// Physical connectivity only arbitrates dropped traffic, so it is asked
+/// lazily: most pairs never consult it, and callers that compute
+/// component maps on demand (the incremental engine) skip the flood fill
+/// whenever no pair drops traffic.
+pub fn classify_pair(
+    unchanged: bool,
+    after: &PathArena,
     physically_connected: impl FnOnce() -> bool,
 ) -> DegradationClass {
-    if after == before {
+    if unchanged {
         return DegradationClass::Unchanged;
     }
     if after.has_loop {
         return DegradationClass::Looping;
     }
-    if after.paths.is_empty() || after.blackhole {
+    if after.path_count() == 0 || after.blackhole {
         return if physically_connected() {
             DegradationClass::BlackHoled
         } else {
@@ -635,20 +628,24 @@ pub fn run_scenario(
     let failed_configs = scenario.apply(configs)?;
     let sim = simulate(&failed_configs)?;
     let comp = physical_components(&failed_configs);
-    let empty = PathSet {
-        blackhole: true,
-        ..PathSet::default()
-    };
+    // The baseline may come from another network (a masked sweep against
+    // the original's plane): translate its ids once.
+    let map = IdMap::new(baseline.names(), sim.dataplane.names());
+    let dropped = PathArena::dropped();
     let mut classes = BTreeMap::new();
-    for ((src, dst), before) in baseline.pairs() {
-        let after = sim.dataplane.between(src, dst).unwrap_or(&empty);
+    for before in baseline.pairs() {
+        let (src, dst) = (before.src(), before.dst());
+        let after = sim
+            .dataplane
+            .between(src, dst)
+            .map_or(&dropped, |ps| ps.arena());
         let connected = match (comp.get(src), comp.get(dst)) {
             (Some(a), Some(b)) => a == b,
             _ => false,
         };
         classes.insert(
-            (src.clone(), dst.clone()),
-            classify_pair(before, after, connected),
+            (src.to_string(), dst.to_string()),
+            classify_pair(before.arena().eq_mapped(&map, after), after, || connected),
         );
     }
     Ok(ScenarioOutcome {

@@ -40,7 +40,7 @@ pub mod rip;
 pub mod sweep;
 
 pub use bgp::BgpFibRoute;
-pub use dataplane::{DataPlane, PairBits, PathArena, PathSet};
+pub use dataplane::{DataPlane, IdMap, NameTable, PairBits, PairPaths, PathArena};
 pub use error::SimError;
 pub use fault::{DegradationClass, FailureScenario, Fault, ScenarioOutcome};
 pub use sweep::{
@@ -85,9 +85,10 @@ pub fn simulate(configs: &NetworkConfigs) -> Result<Simulation, SimError> {
 fn emit_dataplane_metrics(dataplane: &DataPlane) {
     if confmask_obs::enabled() {
         confmask_obs::counter_add("sim.dataplane.pairs", dataplane.len() as u64);
-        for (_, ps) in dataplane.pairs() {
-            confmask_obs::observe("sim.dataplane.paths_per_pair", ps.paths.len() as u64);
-        }
+        confmask_obs::observe_all(
+            "sim.dataplane.paths_per_pair",
+            dataplane.pairs().map(|ps| ps.path_count() as u64),
+        );
     }
 }
 

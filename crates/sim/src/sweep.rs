@@ -23,7 +23,6 @@
 use crate::dataplane::{DataPlane, PairBits};
 use crate::error::SimError;
 use crate::fault::{DegradationClass, ScenarioOutcome};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,20 +36,24 @@ pub struct PairTable {
 }
 
 impl PairTable {
-    /// Interns every ordered pair of `baseline`, in its key order.
+    /// Interns every ordered pair of `baseline`, in its key order: one
+    /// shared name per host of the baseline's table.
     pub fn from_baseline(baseline: &DataPlane) -> PairTable {
-        let mut cache: BTreeMap<String, Arc<str>> = BTreeMap::new();
-        let intern = |s: &str, cache: &mut BTreeMap<String, Arc<str>>| -> Arc<str> {
-            if let Some(a) = cache.get(s) {
-                return Arc::clone(a);
-            }
-            let a: Arc<str> = Arc::from(s);
-            cache.insert(s.to_string(), Arc::clone(&a));
-            a
-        };
+        let hosts: Vec<Arc<str>> = baseline
+            .names()
+            .hosts()
+            .iter()
+            .map(|h| Arc::from(h.as_str()))
+            .collect();
+        let index = |name: &str| baseline.names().host_index(name).expect("pair host") as usize;
         let pairs = baseline
             .pairs()
-            .map(|((s, d), _)| (intern(s, &mut cache), intern(d, &mut cache)))
+            .map(|ps| {
+                (
+                    Arc::clone(&hosts[index(ps.src())]),
+                    Arc::clone(&hosts[index(ps.dst())]),
+                )
+            })
             .collect();
         PairTable { pairs }
     }
@@ -489,9 +492,9 @@ mod tests {
         let baseline = simulate(&triangle()).unwrap().dataplane;
         let table = PairTable::from_baseline(&baseline);
         assert_eq!(table.len(), baseline.len());
-        for (i, ((s, d), _)) in baseline.pairs().enumerate() {
-            assert_eq!(table.pair(i), (s.as_str(), d.as_str()));
-            assert_eq!(table.index_of(s, d), Some(i));
+        for (i, ps) in baseline.pairs().enumerate() {
+            assert_eq!(table.pair(i), (ps.src(), ps.dst()));
+            assert_eq!(table.index_of(ps.src(), ps.dst()), Some(i));
         }
         assert_eq!(table.index_of("h1", "nope"), None);
     }

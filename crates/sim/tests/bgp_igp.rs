@@ -67,9 +67,10 @@ fn interior_router_resolves_ibgp_through_ospf() {
     );
 
     let ps = sim.dataplane.between("h1", "h2").unwrap();
+    let paths = ps.to_names();
     assert!(ps.clean());
     assert_eq!(
-        ps.paths,
+        paths,
         vec![vec![
             "h1".to_string(),
             "i1".into(),
@@ -140,7 +141,7 @@ fn igp_filter_suppresses_ibgp_resolution() {
     }
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h2").unwrap();
-    assert!(ps.blackhole, "{ps:?}");
+    assert!(ps.blackhole(), "{ps:?}");
     // The reverse direction is unaffected.
     assert!(sim.dataplane.between("h2", "h1").unwrap().clean());
 }
@@ -169,7 +170,7 @@ fn bgp_session_filter_blocks_at_the_border() {
     }
     let sim = simulate(&net).unwrap();
     // Nobody in AS 100 can reach h2 anymore: the only eBGP import is gone.
-    assert!(sim.dataplane.between("h1", "h2").unwrap().blackhole);
+    assert!(sim.dataplane.between("h1", "h2").unwrap().blackhole());
 }
 
 #[test]
@@ -265,11 +266,12 @@ fn local_preference_overrides_as_path_length() {
     }
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h2").unwrap();
+    let paths = ps.to_names();
     assert!(ps.clean(), "{ps:?}");
     assert!(
-        ps.paths.iter().all(|p| p.contains(&"b3".to_string())),
+        paths.iter().all(|p| p.contains(&"b3".to_string())),
         "high local-pref forces the AS 300 detour: {:?}",
-        ps.paths
+        paths
     );
     // Without the local-preference, the direct session wins.
     net.routers
@@ -283,10 +285,11 @@ fn local_preference_overrides_as_path_length() {
         .for_each(|n| n.local_pref = None);
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h2").unwrap();
+    let paths = ps.to_names();
     assert!(
-        ps.paths.iter().all(|p| !p.contains(&"b3".to_string())),
+        paths.iter().all(|p| !p.contains(&"b3".to_string())),
         "default preferences take the shorter AS path: {:?}",
-        ps.paths
+        paths
     );
 }
 

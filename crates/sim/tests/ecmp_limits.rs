@@ -59,12 +59,13 @@ fn ladder(k: usize) -> NetworkConfigs {
 fn wide_ecmp_enumerates_every_path() {
     let sim = simulate(&ladder(8)).unwrap();
     let ps = sim.dataplane.between("hs", "hd").unwrap();
+    let paths = ps.to_names();
     assert!(ps.clean());
-    assert_eq!(ps.paths.len(), 8, "one path per middle router");
+    assert_eq!(paths.len(), 8, "one path per middle router");
     // All paths distinct and of equal length.
-    let set: std::collections::BTreeSet<_> = ps.paths.iter().collect();
+    let set: std::collections::BTreeSet<_> = paths.iter().collect();
     assert_eq!(set.len(), 8);
-    assert!(ps.paths.iter().all(|p| p.len() == 5));
+    assert!(paths.iter().all(|p| p.len() == 5));
 }
 
 #[test]
@@ -108,16 +109,17 @@ fn path_cap_bounds_enumeration() {
 
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("hs", "hd2").unwrap();
-    assert!(!ps.blackhole && !ps.has_loop);
+    let paths = ps.to_names();
+    assert!(!ps.blackhole() && !ps.has_loop());
     assert!(
-        ps.paths.len() <= MAX_PATHS_PER_PAIR,
+        paths.len() <= MAX_PATHS_PER_PAIR,
         "cap respected: {}",
-        ps.paths.len()
+        paths.len()
     );
     assert!(
-        ps.paths.len() >= 200,
+        paths.len() >= 200,
         "still enumerates a lot: {}",
-        ps.paths.len()
+        paths.len()
     );
 }
 
@@ -127,7 +129,8 @@ fn path_sets_are_sorted_and_deterministic() {
     let b = simulate(&ladder(6)).unwrap();
     assert_eq!(a.dataplane, b.dataplane);
     let ps = a.dataplane.between("hs", "hd").unwrap();
-    let mut sorted = ps.paths.clone();
+    let paths = ps.to_names();
+    let mut sorted = paths.clone();
     sorted.sort();
-    assert_eq!(ps.paths, sorted, "paths are kept sorted");
+    assert_eq!(paths, sorted, "paths are kept sorted");
 }

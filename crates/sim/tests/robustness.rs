@@ -60,11 +60,13 @@ fn simulator_survives_config_corruption() {
         match simulate(&net) {
             Ok(sim) => {
                 // Whatever happened, the data plane is structurally sound:
-                // paths start at src and end at dst.
-                for ((src, dst), ps) in sim.dataplane.pairs() {
-                    for p in &ps.paths {
-                        assert_eq!(p.first(), Some(src));
-                        assert_eq!(p.last(), Some(dst));
+                // paths start at src, end at dst, and cross only routers.
+                for ps in sim.dataplane.pairs() {
+                    for p in ps.to_names() {
+                        assert_eq!(p.first().map(String::as_str), Some(ps.src()));
+                        assert_eq!(p.last().map(String::as_str), Some(ps.dst()));
+                        let interior = &p[1..p.len() - 1];
+                        assert!(interior.iter().all(|r| sim.net.router_id(r).is_some()));
                     }
                 }
             }
@@ -167,11 +169,12 @@ fn routing_free_network_blackholes_everywhere() {
         let (s, d) = (&net.hosts[src], &net.hosts[dst]);
         s.prefix() == d.prefix()
     };
-    for ((src, dst), ps) in sim.dataplane.pairs() {
+    for ps in sim.dataplane.pairs() {
+        let (src, dst) = (ps.src(), ps.dst());
         if same_lan_ok(src, dst) {
             assert!(ps.clean());
         } else {
-            assert!(ps.blackhole, "{src}->{dst} should blackhole: {ps:?}");
+            assert!(ps.blackhole(), "{src}->{dst} should blackhole: {ps:?}");
         }
     }
 }

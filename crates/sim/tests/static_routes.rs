@@ -61,8 +61,9 @@ fn static_route_overrides_ospf() {
         .unwrap();
     assert_eq!(entry.source, RouteSource::Static);
     let ps = sim.dataplane.between("h1", "h3").unwrap();
+    let paths = ps.to_names();
     assert_eq!(
-        ps.paths,
+        paths,
         vec![vec![
             "h1".to_string(),
             "r1".into(),
@@ -95,9 +96,10 @@ fn default_route_covers_unknown_destinations() {
         });
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h3").unwrap();
+    let paths = ps.to_names();
     assert!(ps.clean(), "{ps:?}");
     assert_eq!(
-        ps.paths,
+        paths,
         vec![vec![
             "h1".to_string(),
             "r1".into(),
@@ -125,8 +127,9 @@ fn longest_prefix_match_beats_admin_distance() {
         });
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h3").unwrap();
+    let paths = ps.to_names();
     assert_eq!(
-        ps.paths,
+        paths,
         vec![vec![
             "h1".to_string(),
             "r1".into(),
@@ -165,8 +168,9 @@ fn static_loop_is_detected() {
         .insert("h9".into(), host("h9", "10.9.9.100", "10.9.9.1"));
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h9").unwrap();
-    assert!(ps.has_loop, "r1↔r2 static loop must be flagged: {ps:?}");
-    assert!(ps.paths.is_empty());
+    let paths = ps.to_names();
+    assert!(ps.has_loop(), "r1↔r2 static loop must be flagged: {ps:?}");
+    assert!(paths.is_empty());
 }
 
 #[test]
@@ -210,5 +214,5 @@ fn static_toward_missing_prefix_blackholes() {
         .insert("h9".into(), host("h9", "10.9.9.100", "10.9.9.1"));
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h9").unwrap();
-    assert!(ps.blackhole, "{ps:?}");
+    assert!(ps.blackhole(), "{ps:?}");
 }

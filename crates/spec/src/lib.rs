@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use confmask_sim::{DataPlane, PathSet};
+use confmask_sim::{DataPlane, PairPaths};
 use std::collections::BTreeSet;
 
 /// One mined policy.
@@ -91,20 +91,19 @@ const PARALLEL_MINE_THRESHOLD: usize = 32;
 /// per-pair policies are merged in pair order, so the mined specification
 /// is identical at any thread count.
 pub fn mine(dp: &DataPlane) -> Specification {
-    let pairs: Vec<(&(String, String), &PathSet)> = dp.pairs().collect();
+    let pairs: Vec<PairPaths<'_>> = dp.pairs().collect();
     let per_pair: Vec<Vec<Policy>> = if pairs.len() >= PARALLEL_MINE_THRESHOLD {
-        confmask_exec::par_map(&pairs, |((src, dst), ps)| mine_pair(src, dst, ps))
+        confmask_exec::par_map(&pairs, mine_pair)
     } else {
-        pairs
-            .iter()
-            .map(|((src, dst), ps)| mine_pair(src, dst, ps))
-            .collect()
+        pairs.iter().map(mine_pair).collect()
     };
     per_pair.into_iter().flatten().collect()
 }
 
-/// Mines every policy one host pair contributes.
-fn mine_pair(src: &str, dst: &str, ps: &PathSet) -> Vec<Policy> {
+/// Mines every policy one host pair contributes. Paths are read as router
+/// ids; names are resolved only for the policies emitted.
+fn mine_pair(ps: &PairPaths<'_>) -> Vec<Policy> {
+    let (src, dst) = (ps.src(), ps.dst());
     let mut out = Vec::new();
     if !ps.clean() {
         out.push(Policy::Isolation {
@@ -117,8 +116,9 @@ fn mine_pair(src: &str, dst: &str, ps: &PathSet) -> Vec<Policy> {
         src: src.to_owned(),
         dst: dst.to_owned(),
     });
+    let paths = ps.arena();
     // Uniform path length (Theorem B.2's preserved property).
-    let lengths: BTreeSet<usize> = ps.paths.iter().map(|p| p.len() - 2).collect();
+    let lengths: BTreeSet<usize> = paths.paths().map(<[u32]>::len).collect();
     if lengths.len() == 1 {
         out.push(Policy::PathLength {
             src: src.to_owned(),
@@ -126,17 +126,17 @@ fn mine_pair(src: &str, dst: &str, ps: &PathSet) -> Vec<Policy> {
             hops: *lengths.iter().next().expect("non-empty"),
         });
     }
-    if ps.paths.len() >= 2 {
+    if paths.path_count() >= 2 {
         out.push(Policy::LoadBalance {
             src: src.to_owned(),
             dst: dst.to_owned(),
-            paths: ps.paths.len(),
+            paths: paths.path_count(),
         });
     }
     // Waypoints: routers on *every* path (excluding endpoints).
-    let mut common: Option<BTreeSet<&String>> = None;
-    for path in &ps.paths {
-        let routers: BTreeSet<&String> = path[1..path.len() - 1].iter().collect();
+    let mut common: Option<BTreeSet<u32>> = None;
+    for routers in paths.paths() {
+        let routers: BTreeSet<u32> = routers.iter().copied().collect();
         common = Some(match common {
             None => routers,
             Some(prev) => prev.intersection(&routers).copied().collect(),
@@ -146,7 +146,7 @@ fn mine_pair(src: &str, dst: &str, ps: &PathSet) -> Vec<Policy> {
         out.push(Policy::Waypoint {
             src: src.to_owned(),
             dst: dst.to_owned(),
-            via: via.clone(),
+            via: ps.router(via).to_owned(),
         });
     }
     out
@@ -225,25 +225,13 @@ pub fn diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use confmask_sim::PathSet;
 
     fn dp(entries: &[(&str, &str, Vec<Vec<&str>>)]) -> DataPlane {
-        let mut dp = DataPlane::default();
-        for (s, d, paths) in entries {
-            dp.insert(
-                s.to_string(),
-                d.to_string(),
-                PathSet {
-                    paths: paths
-                        .iter()
-                        .map(|p| p.iter().map(|n| n.to_string()).collect())
-                        .collect(),
-                    blackhole: false,
-                    has_loop: false,
-                },
-            );
-        }
-        dp
+        DataPlane::from_names(
+            entries
+                .iter()
+                .map(|(s, d, paths)| (*s, *d, paths.clone(), false, false)),
+        )
     }
 
     #[test]
@@ -283,16 +271,7 @@ mod tests {
 
     #[test]
     fn blackholed_pairs_mine_isolation() {
-        let mut d = DataPlane::default();
-        d.insert(
-            "h1".into(),
-            "h2".into(),
-            PathSet {
-                paths: vec![],
-                blackhole: true,
-                has_loop: false,
-            },
-        );
+        let d = DataPlane::from_names([("h1", "h2", vec![], true, false)]);
         let spec = mine(&d);
         assert_eq!(spec.len(), 1);
         assert!(spec.contains(&Policy::Isolation {

@@ -24,7 +24,7 @@ fn main() {
 
     // The problematic flow: a pod-3 host talking to a pod-1 host.
     let (src, dst) = ("h3-1-0", "h1-0-0");
-    let orig_paths = &original.dataplane.between(src, dst).unwrap().paths;
+    let orig_paths = &original.dataplane.between(src, dst).unwrap().to_names();
     println!("=== Original trouble flow {src} -> {dst} ===");
     for p in orig_paths {
         println!("  {}", p.join(" -> "));
@@ -41,7 +41,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("{strategy} fails on the case study: {e}"));
 
         // (b) Is the waypoint still visible in the shared data plane?
-        let anon_paths = &result.dataplane.between(src, dst).unwrap().paths;
+        let anon_paths = &result.dataplane.between(src, dst).unwrap().to_names();
         for p in anon_paths {
             println!("  {}", p.join(" -> "));
         }

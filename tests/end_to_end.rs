@@ -114,8 +114,8 @@ fn k_route_anonymity_definition_holds() {
     let result = anonymize(&net, &Params::new(6, k_h)).unwrap();
     let mut group_sizes: std::collections::BTreeMap<(String, String), usize> =
         std::collections::BTreeMap::new();
-    for (_pair, ps) in result.final_sim.dataplane.pairs() {
-        for path in &ps.paths {
+    for ps in result.final_sim.dataplane.pairs() {
+        for path in &ps.to_names() {
             if path.len() < 3 {
                 continue;
             }
@@ -124,14 +124,14 @@ fn k_route_anonymity_definition_holds() {
         }
     }
     // Every group that carried original traffic now carries >= k_h paths.
-    for (_pair, ps) in result
+    for ps in result
         .baseline
         .sim
         .dataplane
         .restricted_to(&result.baseline.real_hosts)
         .pairs()
     {
-        for path in &ps.paths {
+        for path in &ps.to_names() {
             if path.len() < 3 {
                 continue;
             }

@@ -20,17 +20,28 @@ fn full_sharing_workflow_confmask_then_pii() {
 
     // 2. Behaviour preserved up to renaming: translate the anonymized
     //    (pre-PII) data plane through the name map.
-    let rename = |n: &String| report.name_map.get(n).cloned().unwrap_or_else(|| n.clone());
-    let mut translated = confmask_sim::DataPlane::default();
-    for ((s, d), ps) in result.final_sim.dataplane.pairs() {
-        let mut ps = ps.clone();
-        for p in ps.paths.iter_mut() {
-            for node in p.iter_mut() {
-                *node = rename(node);
-            }
-        }
-        translated.insert(rename(s), rename(d), ps);
-    }
+    let rename = |n: &str| {
+        report
+            .name_map
+            .get(n)
+            .cloned()
+            .unwrap_or_else(|| n.to_string())
+    };
+    let rows = result.final_sim.dataplane.pairs().map(|ps| {
+        let paths = ps
+            .to_names()
+            .iter()
+            .map(|p| p.iter().map(|n| rename(n)).collect())
+            .collect();
+        (
+            rename(ps.src()),
+            rename(ps.dst()),
+            paths,
+            ps.blackhole(),
+            ps.has_loop(),
+        )
+    });
+    let translated = confmask_sim::DataPlane::from_names(rows);
     assert_eq!(translated, sim.dataplane);
 
     // 3. No original hostname or address survives in the emitted text.
