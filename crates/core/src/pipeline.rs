@@ -16,6 +16,7 @@ use confmask_sim::Simulation;
 use confmask_sim_delta::DeltaEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The span-name prefix of pipeline stages; a span `pipeline.stage.<name>`
@@ -137,8 +138,9 @@ pub struct Anonymized {
     pub ledger: LineLedger,
     /// The original network's baseline (simulation + topology).
     pub baseline: Baseline,
-    /// Full simulation of the anonymized network.
-    pub final_sim: Simulation,
+    /// Full simulation of the anonymized network, shared with the
+    /// simulation cache entry that converged it.
+    pub final_sim: Arc<Simulation>,
     /// Fake links added by topology anonymization.
     pub fake_links: Vec<FakeLink>,
     /// Scale-obfuscation outcome (fake routers; empty unless
@@ -388,7 +390,7 @@ fn run_attempt(
     // Converge through the shared simulation cache: a later
     // `verify_failure_equivalence` sweep (or a repeat job on the same
     // output) reuses this converged state for delta recomputation.
-    let final_sim = DeltaEngine::global().converged(&anon_configs)?.sim.clone();
+    let final_sim = Arc::clone(&DeltaEngine::global().converged(&anon_configs)?.sim);
     let eq_sp = confmask_obs::span("core.verify.equivalence");
     let equivalence = check_equivalence(
         configs,

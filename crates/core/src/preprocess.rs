@@ -8,12 +8,14 @@ use confmask_sim::Simulation;
 use confmask_sim_delta::DeltaEngine;
 use confmask_topology::{extract::extract_topology, Topology};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The original network's simulated baseline.
 #[derive(Debug, Clone)]
 pub struct Baseline {
-    /// The original simulation (model, FIBs, data plane).
-    pub sim: Simulation,
+    /// The original simulation (model, FIBs, data plane), shared with the
+    /// simulation cache entry that converged it.
+    pub sim: Arc<Simulation>,
     /// The original topology graph.
     pub topo: Topology,
     /// Names of the real hosts (the set functional equivalence is judged
@@ -40,7 +42,7 @@ pub fn preprocess(configs: &NetworkConfigs) -> Result<Baseline, Error> {
     // and repeat jobs on the same input skip the (expensive) baseline
     // simulation entirely, and the converged state feeds later delta
     // recomputation of fault scenarios.
-    let sim = DeltaEngine::global().converged(configs)?.sim.clone();
+    let sim = Arc::clone(&DeltaEngine::global().converged(configs)?.sim);
     let topo = extract_topology(configs);
     let real_hosts = configs.hosts.keys().cloned().collect();
     let asn_of = configs

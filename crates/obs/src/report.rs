@@ -1,7 +1,7 @@
 //! The observability report: a span tree with durations plus every
 //! counter, gauge, histogram, and retained event — serializable to JSON
 //! (the `--metrics-out` artifact), parseable back, and renderable as an
-//! indented flame-style summary (`confmask obs-report`).
+//! indented per-path profile (`confmask obs-report`).
 
 use crate::event::{EventRecord, Level};
 use crate::json::{escape, parse, Json, JsonError};
@@ -50,6 +50,24 @@ pub struct SpanNode {
     pub span: SpanRecord,
     /// Child spans, by start time.
     pub children: Vec<SpanNode>,
+}
+
+/// Spans folded by path: every span whose chain of names from its root
+/// down is the same counts toward one row, however many times it ran.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathRow {
+    /// Span names from the root down, joined by `/`.
+    pub path: String,
+    /// Number of ancestors (0 for a root).
+    pub depth: usize,
+    /// Spans folded into the row.
+    pub count: u64,
+    /// Their summed durations, µs.
+    pub total_us: u64,
+    /// Their summed self times, µs: each span's duration minus its direct
+    /// children's (floored at zero, since children on other threads can
+    /// overlap).
+    pub self_us: u64,
 }
 
 /// A complete observability snapshot.
@@ -104,6 +122,65 @@ impl Report {
         }
         roots.sort_by_key(|s| (s.start_us, s.id));
         roots.into_iter().map(|r| build(r, &mut children_of)).collect()
+    }
+
+    /// The span tree folded by path ([`PathRow`]), depth first: a row's
+    /// children follow it, in the order their paths first started.
+    pub fn profile(&self) -> Vec<PathRow> {
+        struct Fold {
+            name: String,
+            count: u64,
+            total_us: u64,
+            self_us: u64,
+            children: Vec<Fold>,
+        }
+        fn add(level: &mut Vec<Fold>, node: &SpanNode) {
+            let i = match level.iter().position(|f| f.name == node.span.name) {
+                Some(i) => i,
+                None => {
+                    level.push(Fold {
+                        name: node.span.name.clone(),
+                        count: 0,
+                        total_us: 0,
+                        self_us: 0,
+                        children: Vec::new(),
+                    });
+                    level.len() - 1
+                }
+            };
+            let fold = &mut level[i];
+            let d = node.span.duration_us;
+            let kids: u64 = node.children.iter().map(|c| c.span.duration_us).sum();
+            fold.count += 1;
+            fold.total_us += d;
+            fold.self_us += d.saturating_sub(kids);
+            for child in &node.children {
+                add(&mut fold.children, child);
+            }
+        }
+        fn flatten(level: Vec<Fold>, parent: Option<&str>, depth: usize, out: &mut Vec<PathRow>) {
+            for fold in level {
+                let path = match parent {
+                    Some(p) => format!("{p}/{}", fold.name),
+                    None => fold.name,
+                };
+                out.push(PathRow {
+                    path: path.clone(),
+                    depth,
+                    count: fold.count,
+                    total_us: fold.total_us,
+                    self_us: fold.self_us,
+                });
+                flatten(fold.children, Some(&path), depth + 1, out);
+            }
+        }
+        let mut roots = Vec::new();
+        for node in &self.tree() {
+            add(&mut roots, node);
+        }
+        let mut rows = Vec::new();
+        flatten(roots, None, 0, &mut rows);
+        rows
     }
 
     /// Number of finished spans with the given name.
@@ -309,17 +386,30 @@ impl Report {
         Ok(report)
     }
 
-    /// Renders the report as an indented flame-style text summary: the
-    /// span tree with durations and share-of-parent, then every metric.
+    /// Renders the report as an indented text summary: one row per span
+    /// path ([`Report::profile`]) with its count, total and self time,
+    /// then every metric.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let tree = self.tree();
-        if tree.is_empty() {
-            out.push_str("span tree: (no spans recorded)\n");
+        let rows = self.profile();
+        if rows.is_empty() {
+            out.push_str("span profile: (no spans recorded)\n");
         } else {
-            out.push_str("span tree:\n");
-            for node in &tree {
-                render_node(&mut out, node, 1, None);
+            let _ = writeln!(
+                out,
+                "span profile (folded by path):\n  {:<44} {:>7} {:>10} {:>10}",
+                "span", "count", "total", "self"
+            );
+            for row in &rows {
+                let name = row.path.rsplit('/').next().unwrap_or_default();
+                let label = format!("{}{name}", "  ".repeat(row.depth));
+                let _ = writeln!(
+                    out,
+                    "  {label:<44} {:>7} {:>10} {:>10}",
+                    row.count,
+                    fmt_duration_us(row.total_us),
+                    fmt_duration_us(row.self_us)
+                );
             }
         }
         if self.dropped_spans > 0 {
@@ -367,26 +457,6 @@ pub fn fmt_duration_us(us: u64) -> String {
         format!("{:.2}ms", us as f64 / 1_000.0)
     } else {
         format!("{:.3}s", us as f64 / 1_000_000.0)
-    }
-}
-
-fn render_node(out: &mut String, node: &SpanNode, depth: usize, parent_us: Option<u64>) {
-    let indent = "  ".repeat(depth);
-    let label = format!("{indent}{}", node.span.name);
-    let share = match parent_us {
-        Some(p) if p > 0 => format!(
-            "  ({:.0}%)",
-            100.0 * node.span.duration_us as f64 / p as f64
-        ),
-        _ => String::new(),
-    };
-    let _ = writeln!(
-        out,
-        "{label:<46} {:>10}{share}",
-        fmt_duration_us(node.span.duration_us)
-    );
-    for child in &node.children {
-        render_node(out, child, depth + 1, Some(node.span.duration_us));
     }
 }
 

@@ -12,11 +12,12 @@
 //!   monotonicity every warm-start argument below leans on.
 //! * **Prefix-scoped filter edits** (only prefix lists and distribute-list
 //!   bindings differ) — what Algorithm 2's deny rounds and rollbacks
-//!   apply. They change nothing but per-destination filter verdicts, so
-//!   only the destinations whose verdict changed are recomputed; see
-//!   [`refilter`] for that class's per-protocol argument. The same
-//!   [`refilter`] advances a [`ControlPlane`] in place through a chain of
-//!   edits without any data plane.
+//!   apply. They change nothing but per-destination filter verdicts at
+//!   the edited routers, so only the destinations whose verdict changed
+//!   are recomputed, and OSPF only at the edited routers, from the cached
+//!   distances; see [`refilter`] for that class's per-protocol argument.
+//!   The same [`refilter`] advances a [`ControlPlane`] in place through a
+//!   chain of edits without any data plane.
 //!
 //! Per-protocol strategy for shutdowns (soundness arguments inline; the
 //! contract is that results are **byte-identical** to a cold `simulate()`
@@ -62,7 +63,7 @@ use confmask_sim::dataplane::{trace_into, PathArena};
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
     bgp, merge_prefix, merge_router_fib, ospf, rip, simulate, BgpRoutes, ControlState, FibEntry,
-    Fibs, NextHop, Peer, RouterNode, SimError, SimNetwork, Simulation,
+    Fibs, NextHop, Peer, RipDist, RipRoutes, RouterNode, SimError, SimNetwork, Simulation,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -204,7 +205,7 @@ pub(crate) fn simulate_delta(
     perturbed: &NetworkConfigs,
 ) -> Result<(Simulation, DeltaStats), SimError> {
     match diff_configs(&base.configs, perturbed) {
-        ConfigDiff::Identical => Ok((base.sim.clone(), DeltaStats::identical())),
+        ConfigDiff::Identical => Ok((Simulation::clone(&base.sim), DeltaStats::identical())),
         ConfigDiff::Unsupported => full_fallback(perturbed),
         ConfigDiff::Shutdowns => {
             let plan = plan_shutdowns(base, perturbed)?;
@@ -263,6 +264,7 @@ pub(crate) struct DeltaPlan {
     ospf_prefixes_recomputed: usize,
     rip_warm_started: bool,
     bgp_reused: bool,
+    bgp_recomputed: bool,
     filter_edits: bool,
 }
 
@@ -296,6 +298,7 @@ impl DeltaPlan {
             ospf_prefixes_recomputed: self.ospf_prefixes_recomputed,
             rip_warm_started: self.rip_warm_started,
             bgp_reused: self.bgp_reused,
+            bgp_recomputed: self.bgp_recomputed,
             filter_edits: self.filter_edits,
             pairs_total,
             pairs_recomputed,
@@ -598,6 +601,7 @@ pub(crate) fn plan_shutdowns(
         ospf_prefixes_recomputed,
         rip_warm_started,
         bgp_reused,
+        bgp_recomputed: any_bgp && !bgp_reused,
         filter_edits: false,
     }))
 }
@@ -637,7 +641,7 @@ pub(crate) fn plan_filter_edits(
     let affected = flipped_destinations(edited, &new_net.destinations);
     let mut fibs = base.sim.fibs.clone();
     let mut state = base.state.clone();
-    let changed = refilter(&new_net, &affected, &mut fibs, &mut state)?;
+    let changed = refilter(&new_net, routers, &affected, &mut fibs, &mut state)?;
     let hosts: Vec<HostId> = new_net.hosts_iter().map(|(id, _)| id).collect();
     if !dataplane_covers_pairs(base, &new_net) {
         return Ok(None);
@@ -689,6 +693,7 @@ pub(crate) fn plan_filter_edits(
         unattached,
         rip_warm_started: false,
         bgp_reused: false,
+        bgp_recomputed: base.state.router_paths.is_some(),
         filter_edits: true,
     }))
 }
@@ -721,12 +726,13 @@ fn flipped_destinations<'a>(
 }
 
 /// Advances a converged control plane — `fibs` and `state` — to model
-/// `net` after a filter edit whose verdict-flipped destinations are
-/// `affected` ([`flipped_destinations`]). `net` must differ from the model
-/// the control plane was computed for only in its resolved route filters
-/// (a [`ConfigDiff::FilterEdits`] diff). Returns, per router, the
-/// destination prefixes whose FIB entry changed. On error nothing is
-/// modified: the one fallible step runs before any write.
+/// `net` after a filter edit of the `edited` routers whose verdict-flipped
+/// destinations are `affected` ([`flipped_destinations`]). `net` must
+/// differ from the model the control plane was computed for only in the
+/// edited routers' resolved route filters (a [`ConfigDiff::FilterEdits`]
+/// diff). Returns, per router, the destination prefixes whose FIB entry
+/// changed. On error nothing is modified: the one fallible step runs
+/// before any write.
 ///
 /// **Soundness of the filter-edit class.** The diff touched only prefix
 /// lists and distribute-list bindings, so the new model differs only in
@@ -739,15 +745,21 @@ fn flipped_destinations<'a>(
 ///
 /// * **OSPF** — filters never change OSPF distances (LSAs flood
 ///   regardless; a filter only drops candidate next hops of its own
-///   prefix at RIB installation), and per-prefix SPFs are independent, so
-///   affected prefixes re-run [`ospf::compute_subset`] and the rest keep
-///   their cached routes and distances, which a cold run would reproduce.
+///   prefix at RIB installation), so the cached `ospf_dist` is what a
+///   cold SPF would converge to and stays as it is. Router `u`'s hop set
+///   for `p` ([`ospf::candidate_hops`]) reads only `dist[p]` and `u`'s
+///   own interfaces' verdicts, so it can change only at an edited router,
+///   and only for an affected prefix. Those rows are re-derived from the
+///   cached distances through the same function the cold SPF runs; every
+///   other router keeps its rows, which a cold run would reproduce. No
+///   SPF re-runs.
 /// * **RIP** — a filter does change distance-vector distances, but only
 ///   for its own prefix: each prefix's Bellman–Ford reads only that
 ///   prefix's verdicts. Affected prefixes re-run cold through
 ///   [`rip::compute_subset`]; no warm start, because a removed filter
 ///   *adds* an adjacency and breaks the removal-only precondition that
-///   makes warm starts sound.
+///   makes warm starts sound. A network whose cached state has no RIP
+///   destination skips this: filters create no RIP advertiser.
 /// * **BGP** — recomputed cold whenever any router speaks BGP, from the
 ///   cached router-to-router IGP matrix (filters do not enter it: it
 ///   reads adjacencies, costs and ASNs only). A path-vector computation
@@ -760,6 +772,7 @@ fn flipped_destinations<'a>(
 ///   runs for every destination.
 pub(crate) fn refilter(
     net: &SimNetwork,
+    edited: &[usize],
     affected: &BTreeSet<Ipv4Prefix>,
     fibs: &mut Fibs,
     state: &mut ControlState,
@@ -774,31 +787,35 @@ pub(crate) fn refilter(
 
     // (destination, router) rows whose protocol routes changed.
     let mut rows: BTreeSet<(Ipv4Prefix, usize)> = BTreeSet::new();
-    let subset: Vec<(Ipv4Prefix, Vec<HostId>)> = net
-        .destinations
-        .iter()
-        .filter(|(p, _)| affected.contains(p))
-        .cloned()
-        .collect();
-    if !subset.is_empty() {
-        let (routes, dist) = ospf::compute_subset(net, &subset);
-        splice(
-            &mut state.ospf_routes,
-            &mut state.ospf_dist,
-            affected,
-            routes,
-            dist,
-            &mut rows,
-        );
+    for &r in edited {
+        let rid = RouterId(r as u32);
+        let adj = ospf::router_adjacency(net, rid);
+        let table = &mut state.ospf_routes[r];
+        for p in affected {
+            // No distance vector: no advertiser, and a filter makes none.
+            let Some(dist) = state.ospf_dist.get(p) else {
+                continue;
+            };
+            let hops = ospf::candidate_hops(net, rid, &adj, p, dist);
+            let before = if hops.is_empty() {
+                table.remove(p)
+            } else {
+                table.insert(*p, hops)
+            };
+            if table.get(p) != before.as_ref() {
+                rows.insert((*p, r));
+            }
+        }
+    }
+    if !affected.is_empty() && !state.rip_dist.is_empty() {
+        let subset: Vec<(Ipv4Prefix, Vec<HostId>)> = net
+            .destinations
+            .iter()
+            .filter(|(p, _)| affected.contains(p))
+            .cloned()
+            .collect();
         let (routes, dist) = rip::compute_subset(net, &subset);
-        splice(
-            &mut state.rip_routes,
-            &mut state.rip_dist,
-            affected,
-            routes,
-            dist,
-            &mut rows,
-        );
+        splice_rip(state, affected, routes, dist, &mut rows);
     }
     if let Some(routes) = bgp_routes {
         let is_dest = |p: &Ipv4Prefix| net.destinations.iter().any(|(d, _)| d == p);
@@ -828,24 +845,23 @@ pub(crate) fn refilter(
     Ok(changed)
 }
 
-/// Replaces the routes and distances of `prefixes` in one IGP's cached
-/// tables with a subset recomputation's output, adding every
+/// Replaces the RIP routes and distances of `prefixes` in the cached
+/// state with a subset recomputation's output, adding every
 /// (prefix, router) row whose routes changed to `rows`.
-fn splice<D>(
-    routes: &mut [BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>],
-    dist: &mut BTreeMap<Ipv4Prefix, D>,
+fn splice_rip(
+    state: &mut ControlState,
     prefixes: &BTreeSet<Ipv4Prefix>,
-    new_routes: Vec<BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>>,
-    mut new_dist: BTreeMap<Ipv4Prefix, D>,
+    new_routes: RipRoutes,
+    mut new_dist: RipDist,
     rows: &mut BTreeSet<(Ipv4Prefix, usize)>,
 ) {
     for p in prefixes {
         match new_dist.remove(p) {
-            Some(d) => dist.insert(*p, d),
-            None => dist.remove(p),
+            Some(d) => state.rip_dist.insert(*p, d),
+            None => state.rip_dist.remove(p),
         };
     }
-    for (r, (table, mut fresh)) in routes.iter_mut().zip(new_routes).enumerate() {
+    for (r, (table, mut fresh)) in state.rip_routes.iter_mut().zip(new_routes).enumerate() {
         for p in prefixes {
             let before = table.remove(p);
             if let Some(hops) = fresh.remove(p) {
@@ -867,8 +883,9 @@ fn splice<D>(
 ///
 /// Algorithm 2 (route anonymization) keeps one for its whole stage: each
 /// round adds or rolls back deny entries for a few fake-host prefixes at
-/// one router, so an advance re-runs a handful of per-prefix SPFs instead
-/// of a whole control plane.
+/// one router, so an advance re-derives that router's OSPF next hops for
+/// those prefixes from cached distances instead of re-running a whole
+/// control plane.
 #[derive(Debug)]
 pub struct ControlPlane {
     configs: NetworkConfigs,
@@ -897,6 +914,12 @@ impl ControlPlane {
     /// The per-router FIBs of the configs last advanced to.
     pub fn fibs(&self) -> &Fibs {
         &self.fibs
+    }
+
+    /// The converged per-protocol state of the configs last advanced to;
+    /// equal to the state a cold [`confmask_sim::control_plane`] returns.
+    pub fn state(&self) -> &ControlState {
+        &self.state
     }
 
     /// Advances to `configs`, incrementally when they differ from the
@@ -937,7 +960,14 @@ impl ControlPlane {
                 .map(|(node, &r)| (node, &self.net.routers[r])),
             &self.net.destinations,
         );
-        if let Err(e) = refilter(&self.net, &affected, &mut self.fibs, &mut self.state) {
+        let refiltered = refilter(
+            &self.net,
+            routers,
+            &affected,
+            &mut self.fibs,
+            &mut self.state,
+        );
+        if let Err(e) = refiltered {
             // Leave the control plane as it was.
             for (node, &r) in old.into_iter().zip(routers) {
                 self.net.routers[r] = node;
@@ -953,6 +983,7 @@ impl ControlPlane {
         Ok(DeltaStats {
             ospf_prefixes_total: self.net.destinations.len(),
             ospf_prefixes_recomputed: affected.len(),
+            bgp_recomputed: self.state.router_paths.is_some(),
             filter_edits: true,
             ..DeltaStats::default()
         })

@@ -59,8 +59,9 @@ pub struct ConvergedSim {
     pub key: u128,
     /// The configurations that were simulated.
     pub configs: NetworkConfigs,
-    /// The converged simulation result.
-    pub sim: Simulation,
+    /// The converged simulation result, shared with every reader that
+    /// keeps it (the pipeline's final simulation among them).
+    pub sim: Arc<Simulation>,
     /// The converged per-protocol control-plane state (delta inputs).
     pub state: ControlState,
     /// Per (host, router): the FIB prefix the router's longest-prefix
@@ -99,6 +100,9 @@ pub struct DeltaStats {
     pub rip_warm_started: bool,
     /// Whether the cached BGP routes were reused wholesale.
     pub bgp_reused: bool,
+    /// Whether BGP re-ran: some router speaks BGP and its cached routes
+    /// were not reused. Never set on a BGP-free network.
+    pub bgp_recomputed: bool,
     /// Whether the perturbation took the filter-edit path (its affected
     /// destinations are the recomputed OSPF prefixes).
     pub filter_edits: bool,
@@ -233,7 +237,7 @@ impl DeltaEngine {
         let converged = Arc::new(ConvergedSim {
             key,
             configs,
-            sim,
+            sim: Arc::new(sim),
             state,
             host_match,
             pair_meta,
@@ -297,14 +301,8 @@ pub(crate) fn record_stats(stats: &DeltaStats) {
             stats.ospf_prefixes_recomputed as u64,
         );
     }
-    confmask_obs::counter_add(
-        if stats.bgp_reused {
-            "sim.delta.bgp_reuses"
-        } else {
-            "sim.delta.bgp_recomputes"
-        },
-        u64::from(!stats.identical && !stats.full_fallback),
-    );
+    confmask_obs::counter_add("sim.delta.bgp_reuses", u64::from(stats.bgp_reused));
+    confmask_obs::counter_add("sim.delta.bgp_recomputes", u64::from(stats.bgp_recomputed));
     confmask_obs::counter_add(
         "sim.delta.ospf_prefixes_recomputed",
         stats.ospf_prefixes_recomputed as u64,

@@ -118,7 +118,7 @@ pub fn register_metrics() {
 /// converged *to* — per-prefix OSPF/RIP distance vectors, the IGP
 /// router-to-router matrix, and the BGP RIB contributions — and later
 /// recompute only what a perturbation actually touched.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlState {
     /// OSPF candidate next-hops per (router, prefix).
     pub ospf_routes: IgpRoutes,

@@ -29,20 +29,29 @@ pub type IgpRoutes = Vec<BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>>;
 /// decide whether a failed edge lies on any shortest-path DAG.
 pub type OspfDist = BTreeMap<Ipv4Prefix, Vec<u64>>;
 
-/// Directed OSPF adjacency: for each router, `(iface_idx, neighbor,
-/// neighbor_iface, cost_of_our_iface)`.
-fn adjacency(net: &SimNetwork) -> Vec<Vec<(usize, RouterId, usize, u32)>> {
-    let mut adj = vec![Vec::new(); net.router_count()];
-    for (rid, r) in net.routers_iter() {
-        for (ii, iface) in r.ifaces.iter().enumerate() {
-            if !iface.ospf_active {
-                continue;
-            }
-            for peer in &iface.peers {
-                if let Peer::Router { router, iface: pi } = peer {
-                    if net.router(*router).ifaces[*pi].ospf_active {
-                        adj[rid.0 as usize].push((ii, *router, *pi, iface.cost));
-                    }
+/// One router's directed OSPF adjacency: `(iface_idx, neighbor,
+/// neighbor_iface, cost_of_our_iface)` per edge.
+pub type Adjacency = Vec<(usize, RouterId, usize, u32)>;
+
+/// Directed OSPF adjacency of every router, indexed by router id.
+fn adjacency(net: &SimNetwork) -> Vec<Adjacency> {
+    net.routers_iter()
+        .map(|(rid, _)| router_adjacency(net, rid))
+        .collect()
+}
+
+/// Router `rid`'s directed OSPF adjacency: an edge per router peer on an
+/// interface where OSPF is active on both ends.
+pub fn router_adjacency(net: &SimNetwork, rid: RouterId) -> Adjacency {
+    let mut adj = Vec::new();
+    for (ii, iface) in net.router(rid).ifaces.iter().enumerate() {
+        if !iface.ospf_active {
+            continue;
+        }
+        for peer in &iface.peers {
+            if let Peer::Router { router, iface: pi } = peer {
+                if net.router(*router).ifaces[*pi].ospf_active {
+                    adj.push((ii, *router, *pi, iface.cost));
                 }
             }
         }
@@ -125,7 +134,7 @@ type PrefixSpf = Option<(Vec<(usize, Vec<(usize, RouterId)>)>, Vec<u64>)>;
 /// The multi-source Dijkstra for a single destination prefix.
 fn compute_one(
     net: &SimNetwork,
-    adj: &[Vec<(usize, RouterId, usize, u32)>],
+    adj: &[Adjacency],
     rev: &[Vec<(usize, u32)>],
     prefix: &Ipv4Prefix,
 ) -> PrefixSpf {
@@ -161,34 +170,54 @@ fn compute_one(
         }
     }
 
-    // Candidate next-hops: equal-cost first edges, minus filtered ones.
+    // Candidate next hops at every router, against the converged vector.
     let mut hops_by_router = Vec::new();
-    for (rid, r) in net.routers_iter() {
+    for (rid, _) in net.routers_iter() {
         let u = rid.0 as usize;
-        if dist[u] == u64::MAX {
-            continue;
-        }
-        // Advertisers use their connected route; skip.
-        if r.ifaces.iter().any(|i| i.prefix == *prefix) {
-            continue;
-        }
-        let mut hops = Vec::new();
-        for &(ii, v, _pi, cost) in &adj[u] {
-            let dv = dist[v.0 as usize];
-            if dv == u64::MAX {
-                continue;
-            }
-            if u64::from(cost).saturating_add(dv) == dist[u] && !r.ifaces[ii].igp_denies(prefix) {
-                hops.push((ii, v));
-            }
-        }
+        let hops = candidate_hops(net, rid, &adj[u], prefix, &dist);
         if !hops.is_empty() {
-            hops.sort();
-            hops.dedup();
             hops_by_router.push((u, hops));
         }
     }
     Some((hops_by_router, dist))
+}
+
+/// Router `rid`'s OSPF candidate next hops toward `prefix`, given its
+/// adjacency ([`router_adjacency`]) and the prefix's converged distance
+/// vector: the equal-cost first edges, minus those whose interface's
+/// inbound filter denies the prefix, sorted and deduplicated. Empty when
+/// the router cannot reach the prefix, owns an interface on it (the
+/// connected route wins), or every candidate is filtered.
+///
+/// This is the only step of OSPF that reads a filter, and it reads only
+/// `rid`'s own interfaces: the cold SPF runs it for every router, and the
+/// incremental engine re-runs it at just the routers whose filters an
+/// edit changed, against cached distances.
+pub fn candidate_hops(
+    net: &SimNetwork,
+    rid: RouterId,
+    adj: &[(usize, RouterId, usize, u32)],
+    prefix: &Ipv4Prefix,
+    dist: &[u64],
+) -> Vec<(usize, RouterId)> {
+    let r = net.router(rid);
+    let du = dist[rid.0 as usize];
+    if du == u64::MAX || r.ifaces.iter().any(|i| i.prefix == *prefix) {
+        return Vec::new();
+    }
+    let mut hops = Vec::new();
+    for &(ii, v, _pi, cost) in adj {
+        let dv = dist[v.0 as usize];
+        if dv == u64::MAX {
+            continue;
+        }
+        if u64::from(cost).saturating_add(dv) == du && !r.ifaces[ii].igp_denies(prefix) {
+            hops.push((ii, v));
+        }
+    }
+    hops.sort();
+    hops.dedup();
+    hops
 }
 
 /// Router-to-router IGP shortest paths (used for iBGP egress resolution).

@@ -6,8 +6,9 @@
 //! paths for every host pair, and the same error when simulation fails.
 //! The same holds for seeded sequences of route-filter edits, both
 //! through `simulate_perturbed` and through a [`ControlPlane`] advanced
-//! in place after every edit (compared with a cold
-//! `simulate_control_plane`).
+//! in place after every edit (compared with a cold `control_plane`: FIBs
+//! and the whole per-protocol control state), with one router or several
+//! edited per advance.
 //!
 //! The sweep is seeded and deterministic. `DELTA_DIFF_SEEDS` controls how
 //! many random networks are generated (default 8; CI runs more).
@@ -19,9 +20,10 @@ use confmask_net_types::Ipv4Prefix;
 use confmask_netgen::{synthesize, IgpProtocol, TopoSpec};
 use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
 use confmask_sim::sweep::{DigestList, PairTable, ScenarioDigest};
-use confmask_sim::{simulate, simulate_control_plane, Fibs, Simulation};
-use confmask_sim_delta::{ControlPlane, DeltaEngine, ScenarioScratch};
+use confmask_sim::{control_plane, simulate, Fibs, Simulation};
+use confmask_sim_delta::{ControlPlane, ConvergedSim, DeltaEngine, ScenarioScratch};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// A random connected network of 4–10 routers: random spanning tree plus
@@ -291,9 +293,19 @@ fn random_filter_edit(
     cfgs: &mut NetworkConfigs,
     prefixes: &[Ipv4Prefix],
 ) -> String {
-    const LISTS: [&str; 4] = ["F0", "F1", "F2", "Missing"];
     let names: Vec<String> = cfgs.routers.keys().cloned().collect();
     let name = &names[rng.gen_range(0..names.len())];
+    random_filter_edit_on(rng, cfgs, name, prefixes)
+}
+
+/// [`random_filter_edit`] on the router called `name`.
+fn random_filter_edit_on(
+    rng: &mut StdRng,
+    cfgs: &mut NetworkConfigs,
+    name: &str,
+    prefixes: &[Ipv4Prefix],
+) -> String {
+    const LISTS: [&str; 4] = ["F0", "F1", "F2", "Missing"];
     let rc = cfgs.routers.get_mut(name).expect("router exists");
     // Entries mostly go to a list this router already binds, so edits
     // usually flip a verdict somewhere.
@@ -407,11 +419,79 @@ fn random_filter_edit(
     }
 }
 
+/// The destination prefixes of `base`, their /16 supernets, and one
+/// prefix no host uses: what random filter edits draw from.
+fn edit_prefixes(base: &Simulation) -> Vec<Ipv4Prefix> {
+    let mut prefixes: Vec<Ipv4Prefix> = base.net.destinations.iter().map(|(p, _)| *p).collect();
+    let supernets: Vec<Ipv4Prefix> = prefixes
+        .iter()
+        .map(|p| Ipv4Prefix::new(p.network(), 16).unwrap())
+        .collect();
+    prefixes.extend(supernets);
+    prefixes.push("192.0.2.0/24".parse().unwrap());
+    prefixes
+}
+
+/// One step of a filter-edit chain, checked against cold runs: `cp`
+/// advanced in place to `cfgs` must hold exactly the FIBs and the whole
+/// per-protocol control state of a cold `control_plane`, and
+/// `simulate_perturbed` against the unedited baseline must equal a cold
+/// `simulate` — neither may fall back to a cold run. Returns the number
+/// of prefixes the advance recomputed.
+fn check_filter_step(
+    tag: &str,
+    cfgs: &NetworkConfigs,
+    cp: &mut ControlPlane,
+    engine: &DeltaEngine,
+    base: &ConvergedSim,
+) -> usize {
+    let mut prefixes_recomputed = 0;
+    match (control_plane(cfgs), cp.advance(cfgs)) {
+        (Ok((_, cold, cold_state)), Ok(stats)) => {
+            assert!(!stats.full_fallback, "{tag}: chain fell back");
+            prefixes_recomputed = stats.ospf_prefixes_recomputed;
+            assert_fibs_equal(tag, &cold, cp.fibs());
+            assert!(
+                cold_state == *cp.state(),
+                "{tag}: advanced control state differs from cold"
+            );
+        }
+        (Err(cold), Err(chained)) => {
+            assert_eq!(
+                cold.to_string(),
+                chained.to_string(),
+                "{tag}: error mismatch"
+            )
+        }
+        (cold, chained) => panic!(
+            "{tag}: outcome mismatch — cold {:?} vs chained {:?}",
+            cold.map(|_| "ok").map_err(|e| e.to_string()),
+            chained.map(|_| "ok").map_err(|e| e.to_string()),
+        ),
+    }
+    match (simulate(cfgs), engine.simulate_perturbed(base, cfgs)) {
+        (Ok(cold), Ok((delta, stats))) => {
+            assert!(
+                !stats.full_fallback,
+                "{tag}: filter edits must take the delta path"
+            );
+            assert_sims_equal(tag, &cold, &delta);
+        }
+        (Err(cold), Err(delta)) => {
+            assert_eq!(cold.to_string(), delta.to_string(), "{tag}: error mismatch")
+        }
+        (cold, delta) => panic!(
+            "{tag}: outcome mismatch — cold {:?} vs delta {:?}",
+            cold.map(|_| "ok").map_err(|e| e.to_string()),
+            delta.map(|_| "ok").map_err(|e| e.to_string()),
+        ),
+    }
+    prefixes_recomputed
+}
+
 /// Seeded sequences of route-filter edits on random OSPF, RIP and
-/// BGP+OSPF networks: after every edit, a [`ControlPlane`] advanced in
-/// place must hold exactly the FIBs of a cold `simulate_control_plane`,
-/// and `simulate_perturbed` against the unedited baseline must equal a
-/// cold `simulate` — neither may fall back to a cold run.
+/// BGP+OSPF networks, one edit per step, each checked by
+/// [`check_filter_step`].
 #[test]
 fn filter_edits_match_cold_simulation_on_random_networks() {
     const STEPS: usize = 24;
@@ -428,55 +508,13 @@ fn filter_edits_match_cold_simulation_on_random_networks() {
         let engine = DeltaEngine::new(4);
         let base = engine.converged(&cfgs).expect("baseline converges");
         let mut cp = ControlPlane::cold(&cfgs).expect("baseline converges");
-        let mut prefixes: Vec<Ipv4Prefix> =
-            base.sim.net.destinations.iter().map(|(p, _)| *p).collect();
-        let supernets: Vec<Ipv4Prefix> = prefixes
-            .iter()
-            .map(|p| Ipv4Prefix::new(p.network(), 16).unwrap())
-            .collect();
-        prefixes.extend(supernets);
-        prefixes.push("192.0.2.0/24".parse().unwrap());
+        let prefixes = edit_prefixes(&base.sim);
 
         for step in 0..STEPS {
             let edit = random_filter_edit(&mut rng, &mut cfgs, &prefixes);
             let tag = format!("seed {i} flavor {flavor} step {step}: {edit}");
             steps_checked += 1;
-            match (simulate_control_plane(&cfgs), cp.advance(&cfgs)) {
-                (Ok((_, cold)), Ok(stats)) => {
-                    assert!(!stats.full_fallback, "{tag}: chain fell back");
-                    prefixes_recomputed += stats.ospf_prefixes_recomputed;
-                    assert_fibs_equal(&tag, &cold, cp.fibs());
-                }
-                (Err(cold), Err(chained)) => {
-                    assert_eq!(
-                        cold.to_string(),
-                        chained.to_string(),
-                        "{tag}: error mismatch"
-                    )
-                }
-                (cold, chained) => panic!(
-                    "{tag}: outcome mismatch — cold {:?} vs chained {:?}",
-                    cold.map(|_| "ok").map_err(|e| e.to_string()),
-                    chained.map(|_| "ok").map_err(|e| e.to_string()),
-                ),
-            }
-            match (simulate(&cfgs), engine.simulate_perturbed(&base, &cfgs)) {
-                (Ok(cold), Ok((delta, stats))) => {
-                    assert!(
-                        !stats.full_fallback,
-                        "{tag}: filter edits must take the delta path"
-                    );
-                    assert_sims_equal(&tag, &cold, &delta);
-                }
-                (Err(cold), Err(delta)) => {
-                    assert_eq!(cold.to_string(), delta.to_string(), "{tag}: error mismatch")
-                }
-                (cold, delta) => panic!(
-                    "{tag}: outcome mismatch — cold {:?} vs delta {:?}",
-                    cold.map(|_| "ok").map_err(|e| e.to_string()),
-                    delta.map(|_| "ok").map_err(|e| e.to_string()),
-                ),
-            }
+            prefixes_recomputed += check_filter_step(&tag, &cfgs, &mut cp, &engine, &base);
         }
     }
     assert!(steps_checked > 0, "every generated network was degenerate");
@@ -484,5 +522,55 @@ fn filter_edits_match_cold_simulation_on_random_networks() {
     eprintln!(
         "filter-diff: {steps_checked} edit(s), {prefixes_recomputed} prefix recomputation(s), \
          zero mismatches"
+    );
+}
+
+/// Like [`filter_edits_match_cold_simulation_on_random_networks`], but
+/// every step edits two to four distinct routers before one advance, so
+/// the per-router OSPF refilter must re-derive several routers' rows in
+/// one go.
+#[test]
+fn multi_router_filter_edits_match_cold_simulation_on_random_networks() {
+    const STEPS: usize = 16;
+    let mut multi_router_steps = 0u64;
+    for i in 0..diff_seeds() {
+        let mut rng = StdRng::seed_from_u64(0x3E17_0000 ^ i);
+        let flavor = (i % 3) as u8;
+        let spec = random_spec(&mut rng, flavor);
+        let mut cfgs = synthesize(&spec);
+        if simulate(&cfgs).is_err() {
+            continue;
+        }
+        let engine = DeltaEngine::new(4);
+        let base = engine.converged(&cfgs).expect("baseline converges");
+        let mut cp = ControlPlane::cold(&cfgs).expect("baseline converges");
+        let prefixes = edit_prefixes(&base.sim);
+        let mut names: Vec<String> = cfgs.routers.keys().cloned().collect();
+
+        for step in 0..STEPS {
+            let before = cfgs.clone();
+            names.shuffle(&mut rng);
+            let count = rng.gen_range(2..=names.len().min(4));
+            let edits: Vec<String> = names[..count]
+                .iter()
+                .map(|name| random_filter_edit_on(&mut rng, &mut cfgs, name, &prefixes))
+                .collect();
+            let tag = format!("seed {i} flavor {flavor} step {step}: {}", edits.join("; "));
+            let edited = before
+                .routers
+                .values()
+                .zip(cfgs.routers.values())
+                .filter(|(b, a)| b != a)
+                .count();
+            multi_router_steps += u64::from(edited >= 2);
+            check_filter_step(&tag, &cfgs, &mut cp, &engine, &base);
+        }
+    }
+    assert!(
+        multi_router_steps > 0,
+        "no step ever changed two routers at once"
+    );
+    eprintln!(
+        "multi-router filter-diff: {multi_router_steps} multi-router advance(s), zero mismatches"
     );
 }

@@ -1,8 +1,9 @@
 //! Integration test for the observability report emitted by a full
 //! pipeline run: the span tree must contain one `pipeline.stage.*` span
 //! per stage per attempt, nested under `pipeline.attempt` under
-//! `pipeline.anonymize`, and the simulator/topology layers must register
-//! their metrics. Kept as a single `#[test]` because the obs collector is
+//! `pipeline.anonymize`; the rendered report folds it into one row per
+//! span path; and the simulator/topology layers must register their
+//! metrics. Kept as a single `#[test]` because the obs collector is
 //! process-global.
 
 use confmask::{anonymize, Params, STAGE_SPAN_PREFIX};
@@ -67,6 +68,43 @@ fn metrics_report_has_one_span_per_stage_per_attempt() {
         .collect();
     assert!(!sims.is_empty(), "route stages simulate the network");
     assert!(sims.iter().all(|s| s.parent.is_some()));
+
+    // `obs-report` folds spans by path: every span lands in exactly one
+    // row, paths are unique, and the route_anon stage's many control-plane
+    // advances are one row holding all of them.
+    let profile = report.profile();
+    let folded: u64 = profile.iter().map(|r| r.count).sum();
+    assert_eq!(
+        folded,
+        report.spans.len() as u64,
+        "every span folds into one row"
+    );
+    let paths: std::collections::BTreeSet<&str> = profile.iter().map(|r| r.path.as_str()).collect();
+    assert_eq!(paths.len(), profile.len(), "one row per span path");
+    assert!(profile.iter().all(|r| r.self_us <= r.total_us));
+    let refilter_rows: Vec<_> = profile
+        .iter()
+        .filter(|r| r.path.ends_with("/sim.delta.refilter"))
+        .collect();
+    assert_eq!(refilter_rows.len(), 1, "{refilter_rows:?}");
+    assert_eq!(
+        refilter_rows[0].path,
+        "pipeline.anonymize/pipeline.attempt/pipeline.stage.route_anon/sim.delta.refilter"
+    );
+    assert_eq!(
+        refilter_rows[0].count,
+        report.spans_named("sim.delta.refilter") as u64
+    );
+    assert!(
+        refilter_rows[0].count > 1,
+        "route_anon advances more than once"
+    );
+    let rendered = report.render();
+    let refilter_lines = rendered
+        .lines()
+        .filter(|l| l.trim_start().starts_with("sim.delta.refilter "))
+        .count();
+    assert_eq!(refilter_lines, 1, "one rendered row per path:\n{rendered}");
 
     // The metric registry is stable across protocol mixes: all of these
     // exist even when their count is zero for this network.
